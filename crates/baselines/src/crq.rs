@@ -301,10 +301,11 @@ mod tests {
         let sum = AtomicU64::new(0);
         let got = AtomicU64::new(0);
         let pushed = AtomicU64::new(0);
+        let producers_done = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..2u64 {
                 let q = &q;
-                let pushed = &pushed;
+                let (pushed, producers_done) = (&pushed, &producers_done);
                 s.spawn(move || {
                     for v in 0..400 {
                         if q.enqueue(t * 400 + v + 1) == CrqPush::Ok {
@@ -316,22 +317,28 @@ mod tests {
                             break;
                         }
                     }
+                    producers_done.fetch_add(1, Ordering::Release);
                 });
             }
             for _ in 0..2 {
                 let q = &q;
                 let sum = &sum;
                 let got = &got;
+                let producers_done = &producers_done;
                 s.spawn(move || {
+                    // Idle polls count only once both producers are done:
+                    // a descheduled producer must not end a consumer early.
                     let mut idle = 0;
                     while idle < 10_000 {
+                        let finished = producers_done.load(Ordering::Acquire) == 2;
                         match q.dequeue() {
                             Some(v) => {
                                 sum.fetch_add(v, Ordering::Relaxed);
                                 got.fetch_add(1, Ordering::Relaxed);
                                 idle = 0;
                             }
-                            None => idle += 1,
+                            None if finished => idle += 1,
+                            None => {}
                         }
                     }
                 });

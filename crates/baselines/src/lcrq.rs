@@ -217,6 +217,7 @@ impl BenchQueue for Lcrq {
 mod tests {
     use super::*;
     use crate::conformance;
+    use wfq_sync::Deadline;
 
     #[test]
     fn fifo_single_thread() {
@@ -258,6 +259,7 @@ mod tests {
         let q = Lcrq::with_ring_order(4);
         let sum = AtomicU64::new(0);
         const TOTAL: u64 = 8_000;
+        let deadline = Deadline::new();
         std::thread::scope(|s| {
             for t in 0..2u64 {
                 let q = &q;
@@ -278,6 +280,9 @@ mod tests {
                         if let Some(v) = h.dequeue() {
                             sum.fetch_add(v, Ordering::Relaxed);
                             got += 1;
+                        } else {
+                            deadline
+                                .check(|| format!("a consumer's {got} of {} values", TOTAL / 2));
                         }
                     }
                 });

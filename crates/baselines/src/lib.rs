@@ -181,6 +181,7 @@ pub const FAULT_POINTS: &[&str] = &[
 pub(crate) mod conformance {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use wfq_sync::Deadline;
 
     pub fn fifo_single_thread<Q: BenchQueue>() {
         let q = Q::new();
@@ -233,6 +234,7 @@ pub(crate) mod conformance {
         let sum = AtomicU64::new(0);
         let count = AtomicU64::new(0);
         let total = producers * per;
+        let deadline = Deadline::new();
         std::thread::scope(|s| {
             for t in 0..producers {
                 let q = &q;
@@ -250,12 +252,15 @@ pub(crate) mod conformance {
                 s.spawn(move || {
                     let mut h = q.register();
                     loop {
-                        if count.load(Ordering::Relaxed) >= total {
+                        let n = count.load(Ordering::Relaxed);
+                        if n >= total {
                             break;
                         }
                         if let Some(v) = h.dequeue() {
                             sum.fetch_add(v, Ordering::Relaxed);
                             count.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            deadline.check(|| format!("{} to deliver {n} of {total}", Q::NAME));
                         }
                     }
                 });

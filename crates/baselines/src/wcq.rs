@@ -407,8 +407,15 @@ impl Wcq {
                         .compare_exchange((st, pos), (st + SEQ_ONE, UNSET));
                     continue;
                 }
-                // A foreign value at our exclusive ticket is impossible.
-                debug_assert!(false, "foreign entry at exclusive enq ticket");
+                // A foreign value at our exclusive ticket is impossible
+                // while the record is still in this round. A lagging
+                // helper can get here: it read `val` after the owner
+                // finished and published its next round, so the old
+                // round's install looks foreign to it.
+                debug_assert!(
+                    snapshot(&rec.ctrl) != (st, pos),
+                    "foreign entry at exclusive enq ticket"
+                );
                 return;
             }
             if ecycle(e) > tc {
@@ -789,6 +796,7 @@ impl QueueBackend for Wcq {
 mod tests {
     use super::*;
     use crate::conformance;
+    use wfq_sync::Deadline;
 
     /// Patience-0 wCQ: every operation takes the record path.
     struct Wcq0(Wcq);
@@ -919,6 +927,7 @@ mod tests {
         let sum = AtomicU64::new(0);
         let count = AtomicU64::new(0);
         let total = 4 * 2_000u64;
+        let deadline = Deadline::new();
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let q = &q;
@@ -939,6 +948,8 @@ mod tests {
                         if let Some(v) = h.dequeue() {
                             sum.fetch_add(v, Ordering::Relaxed);
                             count.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            deadline.check(|| format!("{count:?} of {total} values"));
                         }
                     }
                 });

@@ -37,10 +37,8 @@ use std::sync::Barrier;
 
 use wfq_baselines::{BenchQueue, FaaBench, MutexQueue, QueueHandle, Scq, Wcq, Wf0};
 use wfq_bench::Args;
-use wfq_harness::cycles::{CyclesPoint, CyclesSeries, CyclesSnapshot, PerfMode, PhaseCost};
-use wfq_harness::{
-    attribute_gap, render_cycles_json, render_cycles_prometheus, stats, topology,
-};
+use wfq_harness::cycles::{self, CyclesPoint, CyclesSeries, CyclesSnapshot, PerfMode, PhaseCost};
+use wfq_harness::{attribute_gap, render_cycles_prometheus, stats, topology};
 use wfq_obs::{
     ledger_totals, probe_overhead_split, CounterGroup, CounterKind, PerfStatus, ALL_COUNTERS,
     ALL_PHASES, NUM_COUNTERS, NUM_PHASES,
@@ -487,7 +485,7 @@ fn main() {
     }
 
     if let Some(path) = args.get("json") {
-        std::fs::write(path, render_cycles_json(&snap)).expect("write json");
+        std::fs::write(path, cycles::document(&snap).render()).expect("write json");
         eprintln!("json written to {path}");
     }
     if let Some(path) = args.get("md") {

@@ -33,8 +33,8 @@ use std::fmt::Write as _;
 use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wcq, Wf0};
 use wfq_bench::{default_ops, default_thread_sweep, Args};
 use wfq_harness::{
-    render_csv, render_markdown, report::render_json_with_commit, run_series, BenchConfig, Series,
-    Workload,
+    regress, render_csv, render_markdown, run_series, throughput_records, BenchConfig, Document,
+    Series, Workload,
 };
 use wfqueue::RawQueue;
 
@@ -173,8 +173,13 @@ fn main() {
             } else {
                 path.to_string()
             };
-            std::fs::write(&path, render_json_with_commit("figure2", label, commit, series))
-                .expect("write json");
+            let doc = Document {
+                benchmark: "figure2".into(),
+                workload: label.to_string(),
+                provenance: regress::provenance(commit),
+                records: throughput_records(series),
+            };
+            std::fs::write(&path, doc.render()).expect("write json");
             eprintln!("json written to {path}");
         }
     }

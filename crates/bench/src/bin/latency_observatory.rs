@@ -10,9 +10,9 @@
 //!     [--quick] [--no-pin]
 //! ```
 //!
-//! Unlike the closed-loop `latency` binary (which issues the next operation
-//! only after the previous one returns, silently absorbing stalls — the
-//! *coordinated omission* bias), every generator thread here pre-computes
+//! Unlike a closed loop (which issues the next operation only after the
+//! previous one returns, silently absorbing stalls — the *coordinated
+//! omission* bias), every generator thread here pre-computes
 //! its intended-start schedule from the offered rate and charges each
 //! operation from its **intended** start, so a stall that delays 100
 //! pending arrivals is billed 100 times. Quantiles carry Student-t 95% CIs
@@ -32,9 +32,10 @@
 use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wcq, Wf0};
 use wfq_bench::Args;
 use wfq_harness::histogram::{fmt_ns, Histogram};
+use wfq_harness::json::Value;
 use wfq_harness::{
-    measure_open_loop, render_latency_json, render_latency_prometheus, topology, ArrivalSchedule,
-    LatencyPoint, LatencySeries, OpenLoopConfig, OpenLoopMeasurement,
+    latency_records, measure_open_loop, regress, render_latency_prometheus, topology,
+    ArrivalSchedule, Document, LatencyPoint, LatencySeries, OpenLoopConfig, OpenLoopMeasurement,
 };
 use wfqueue::RawQueue;
 
@@ -286,13 +287,15 @@ fn main() {
     }
 
     if let Some(path) = args.get("json") {
-        let doc = render_latency_json(
-            cfg.schedule.name(),
-            cfg.threads,
-            args.get("commit"),
-            &series,
-        );
-        std::fs::write(path, doc).expect("write json");
+        let mut provenance = regress::provenance(args.get("commit"));
+        provenance.push(("schedule".into(), Value::Str(cfg.schedule.name().into())));
+        let doc = Document {
+            benchmark: "latency_observatory".into(),
+            workload: "open_loop_pairs".into(),
+            provenance,
+            records: latency_records(cfg.threads, &series),
+        };
+        std::fs::write(path, doc.render()).expect("write json");
         eprintln!("json written to {path}");
     }
     if let Some(path) = args.get("metrics-out") {

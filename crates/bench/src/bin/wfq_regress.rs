@@ -1,347 +1,108 @@
 //! `wfq-regress` — the statistical performance-regression gate.
 //!
-//! Compares two benchmark snapshot JSONs (the normalized schema emitted by
-//! `figure2 --json`, committed under `results/`) point-by-point on the
-//! `(queue, threads)` key, using the harness's Student-t 95% CI machinery
-//! (Georges et al. §5.1). A point regresses when the candidate mean is
-//! slower by more than `--threshold` percent **and** the two confidence
-//! intervals do not overlap — wide CIs (noisy hosts, quick runs) cannot
-//! trip the gate, and significant-but-tiny wobbles cannot either.
+//! Compares two benchmark snapshots (the one record schema written by
+//! `figure2 --json`, `latency_observatory --json` and `cycle_ledger
+//! --json`, committed under `results/`) record by record on `(key,
+//! metric)`, using the harness's Student-t 95% CI machinery (Georges et
+//! al. §5.1). A record regresses when it moved in its worse direction by
+//! more than its `bound_pct` **and** the two confidence intervals do not
+//! overlap — wide CIs (noisy hosts, quick runs) cannot trip the gate, and
+//! significant-but-tiny wobbles cannot either. The document describes
+//! itself: each record carries its polarity and bound, so one command
+//! gates throughput, latency and cycles snapshots alike.
 //!
 //! ```text
-//! # gate: exit 0 on pass, 1 on regression, 2 on usage/parse error
+//! # gate: exit 0 on pass, 1 on regression, 2 on usage/parse error or
+//! # when no gated record appears in both snapshots
 //! wfq-regress --baseline results/BENCH_pairwise.json \
-//!             --candidate /tmp/head.json [--threshold 5]
+//!             --candidate /tmp/head.json [--threshold PCT]
 //!
-//! # latency gate: p99 on the (queue, rate) key, same CI machinery,
-//! # polarity flipped (higher is worse), default threshold 10%
-//! wfq-regress --latency --baseline results/BENCH_latency.json \
-//!             --candidate /tmp/head_latency.json [--threshold 10]
-//!
-//! # cycles gate: per-phase cycles/op on the (queue, threads, phase) key
-//! # (the `total` pseudo-phase gates the whole op), higher is worse,
-//! # default threshold 10%
-//! wfq-regress --cycles --baseline results/BENCH_cycles.json \
-//!             --candidate /tmp/head_cycles.json [--threshold 10]
-//!
-//! # record: append a normalized one-line snapshot to the perf trajectory
+//! # record: append the snapshot, on one line, to the perf trajectory
 //! wfq-regress --record /tmp/head.json [--out results/trajectory.jsonl] \
-//!             [--commit SHA]   # add --latency / --cycles for those snapshots
+//!             [--commit SHA]
 //! ```
 //!
-//! `--record` normalizes the snapshot (stable key order, fixed-precision
-//! numbers, one line) and appends it to `results/trajectory.jsonl`, so the
+//! `--threshold` replaces every record's `bound_pct`. `--record` appends
+//! the parsed snapshot as one line to `results/trajectory.jsonl`, so the
 //! repository accumulates a `git diff`-able perf history; `--commit`
-//! overrides/sets the snapshot's commit field at record time. See
-//! EXPERIMENTS.md ("Regression gate") for how to bless an intentional
-//! perf change.
+//! sets the snapshot's provenance commit at record time. See
+//! EXPERIMENTS.md ("Benchmark snapshots and the regression gate") for how
+//! to bless an intentional perf change.
 
 use std::process::ExitCode;
 
 use wfq_bench::Args;
-use wfq_harness::cycles::{compare_cycles, cycles_trajectory_line, parse_cycles_snapshot};
-use wfq_harness::regress::{
-    compare, compare_latency, latency_trajectory_line, parse_latency_snapshot, parse_snapshot,
-    trajectory_line,
-};
+use wfq_harness::regress;
 
-fn die(msg: &str) -> ExitCode {
-    eprintln!("wfq-regress: {msg}");
+fn usage() -> ExitCode {
     eprintln!(
-        "usage: wfq-regress [--latency|--cycles] --baseline BASE.json --candidate CAND.json [--threshold PCT]\n\
-                wfq-regress [--latency|--cycles] --record SNAP.json [--out results/trajectory.jsonl] [--commit SHA]"
+        "usage: wfq-regress --baseline BASE.json --candidate CAND.json [--threshold PCT]\n       \
+         wfq-regress --record SNAP.json [--out results/trajectory.jsonl] [--commit SHA]"
     );
     ExitCode::from(2)
 }
 
-/// Parses `--threshold`, defaulting only when the flag is *absent* — a
-/// present-but-garbled value is a usage error (exit 2), never a silent
-/// fall-back to the default that would gate at the wrong sensitivity.
-fn threshold_or(args: &Args, default: f64) -> Result<f64, String> {
-    match args.get("threshold") {
-        None => Ok(default),
-        Some(t) => match t.parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-            _ => Err(format!(
-                "--threshold must be a non-negative percentage, got {t:?}"
-            )),
-        },
+fn die(msg: &str) -> ExitCode {
+    eprintln!("wfq-regress: {msg}");
+    usage()
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn record(args: &Args, path: &str) -> Result<String, String> {
+    let mut doc = regress::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(c) = args.get("commit") {
+        doc.set_commit(c);
     }
-}
-
-fn load(path: &str) -> Result<wfq_harness::regress::Snapshot, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
-}
-
-fn load_latency(path: &str) -> Result<wfq_harness::regress::LatencySnapshot, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_latency_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
-}
-
-fn append_line(out: &str, line: &str) -> Result<(), String> {
+    let out = args.get("out").unwrap_or("results/trajectory.jsonl");
     let mut body = std::fs::read_to_string(out).unwrap_or_default();
     if !body.is_empty() && !body.ends_with('\n') {
         body.push('\n');
     }
-    body.push_str(line);
+    body.push_str(&doc.render_line());
     body.push('\n');
-    std::fs::write(out, body).map_err(|e| format!("cannot write {out}: {e}"))
-}
-
-fn load_cycles(path: &str) -> Result<wfq_harness::cycles::CyclesSnapshot, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_cycles_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
-}
-
-/// The `--cycles` paths: the per-phase cycles gate (default threshold 10%)
-/// and cycles trajectory recording, on the snapshots of
-/// `cycle_ledger --json`.
-fn cycles_main(args: &Args) -> ExitCode {
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load_cycles(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
-        };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &cycles_trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.perf.mode,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
-    else {
-        return die("need --baseline and --candidate (or --record)");
-    };
-    // Per-phase cycle counts are noisier than throughput means: the
-    // cycles gate defaults to 10%, like the latency gate.
-    let threshold = match threshold_or(args, 10.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
-    };
-    let base = match load_cycles(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load_cycles(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.perf.mode != cand.perf.mode {
-        eprintln!(
-            "wfq-regress: warning: comparing different counter sources ({} vs {}) — \
-             cycle scales may not be commensurable",
-            base.perf.mode, cand.perf.mode
-        );
-    }
-
-    let cmp = compare_cycles(&base, &cand, threshold);
-    println!(
-        "wfq-regress: {} / {} cycles — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.workload,
-        base.commit.as_deref().unwrap_or("?"),
-        cand.commit.as_deref().unwrap_or("?"),
-    );
-    print!("{}", cmp.render());
-    if cmp.deltas.is_empty() {
-        return die(
-            "no overlapping (queue, threads, phase) points between the snapshots — nothing was gated",
-        );
-    }
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        println!(
-            "PASS: no significant per-phase cycle regression past {threshold}% across {} points",
-            cmp.deltas.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant cycles/op growth > {threshold}%)",
-            regressions.len(),
-            cmp.deltas.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// The `--latency` paths: p99 gate (default threshold 10%) and latency
-/// trajectory recording, on the snapshots of `latency_observatory --json`.
-fn latency_main(args: &Args) -> ExitCode {
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load_latency(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
-        };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &latency_trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.schedule,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
-    else {
-        return die("need --baseline and --candidate (or --record)");
-    };
-    // Quantiles are noisier than means: the latency gate's default
-    // threshold is 10%, vs 5% for throughput.
-    let threshold = match threshold_or(args, 10.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
-    };
-    let base = match load_latency(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load_latency(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.schedule != cand.schedule || base.threads != cand.threads {
-        eprintln!(
-            "wfq-regress: warning: comparing different configurations ({}/{} threads vs {}/{} threads)",
-            base.schedule, base.threads, cand.schedule, cand.threads
-        );
-    }
-
-    let cmp = compare_latency(&base, &cand, threshold);
-    println!(
-        "wfq-regress: {} / {} p99 — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.schedule,
-        base.commit.as_deref().unwrap_or("?"),
-        cand.commit.as_deref().unwrap_or("?"),
-    );
-    print!("{}", cmp.render());
-    if cmp.deltas.is_empty() {
-        return die("no overlapping (queue, rate) points between the snapshots — nothing was gated");
-    }
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        println!(
-            "PASS: no significant p99 regression past {threshold}% across {} points",
-            cmp.deltas.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant p99 inflation > {threshold}% or saturation onset)",
-            regressions.len(),
-            cmp.deltas.len()
-        );
-        ExitCode::FAILURE
-    }
+    std::fs::write(out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
+    Ok(format!(
+        "recorded {} / {} ({} records) to {out}",
+        doc.benchmark,
+        doc.workload,
+        doc.records.len()
+    ))
 }
 
 fn main() -> ExitCode {
     let args = Args::parse();
 
-    if args.flag("latency") {
-        return latency_main(&args);
-    }
-    if args.flag("cycles") {
-        return cycles_main(&args);
-    }
-
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
+    if let Some(path) = args.get("record") {
+        return match record(&args, path) {
+            Ok(msg) => {
+                eprintln!("wfq-regress: {msg}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => die(&e),
         };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
     }
 
-    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
-    else {
+    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate")) else {
         return die("need --baseline and --candidate (or --record)");
     };
-    let threshold = match threshold_or(&args, 5.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
+    let (base, cand) = match (read(base_path), read(cand_path)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => return die(&e),
     };
-
-    let base = match load(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.workload != cand.workload {
-        eprintln!(
-            "wfq-regress: warning: comparing different workloads ({} vs {})",
-            base.workload, cand.workload
-        );
+    // A `--threshold` without a usable value is garbled, not absent.
+    let threshold = args
+        .flag("threshold")
+        .then(|| args.get("threshold").unwrap_or(""));
+    let outcome = regress::gate(&base, &cand, threshold);
+    print!("{}", outcome.out);
+    for line in outcome.err.lines() {
+        eprintln!("wfq-regress: {line}");
     }
-
-    let cmp = compare(&base, &cand, threshold);
-    println!(
-        "wfq-regress: {} / {} — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.workload,
-        base.commit.as_deref().unwrap_or("?"),
-        cand.commit.as_deref().unwrap_or("?"),
-    );
-    print!("{}", cmp.render());
-    if cmp.deltas.is_empty() {
-        return die(
-            "no overlapping (queue, threads) points between the snapshots — nothing was gated",
-        );
+    if outcome.code == 2 {
+        return usage();
     }
-
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        println!(
-            "PASS: no significant regression past {threshold}% across {} points",
-            cmp.deltas.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant slowdown > {threshold}%)",
-            regressions.len(),
-            cmp.deltas.len()
-        );
-        ExitCode::FAILURE
-    }
+    ExitCode::from(outcome.code)
 }

@@ -59,6 +59,45 @@ impl Value {
     }
 }
 
+/// Compact JSON (`", "` and `": "` separators). Numbers print in Rust's
+/// shortest round-trip form, so a parsed number renders back unchanged.
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Str(s) => {
+                f.write_str("\"")?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => write!(f, "{c}")?,
+                    }
+                }
+                f.write_str("\"")
+            }
+            Value::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Value::Obj(members) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    let k = Value::Str(k.clone());
+                    write!(f, "{}{k}: {v}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
@@ -298,6 +337,15 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn display_renders_json_that_parses_back_equal() {
+        let src = r#"{"a": [1, 0.000487, -2.5, true, null], "b\"\n": {"c": "x\\y"}}"#;
+        let v = parse(src).unwrap();
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        assert_eq!(Value::Num(250.0).to_string(), "250");
+        assert_eq!(Value::Num(16.505522).to_string(), "16.505522");
     }
 
     #[test]

@@ -37,14 +37,14 @@ pub mod workload;
 
 pub use attribution::{Attribution, OpClass};
 pub use cycles::{
-    attribute_gap, compare_cycles, cycles_trajectory_line, parse_cycles_snapshot,
-    render_cycles_json, render_cycles_prometheus, CyclesPoint, CyclesSeries, CyclesSnapshot,
+    attribute_gap, render_cycles_prometheus, CyclesPoint, CyclesSeries, CyclesSnapshot,
     GapAttribution, PerfMode, PhaseCost,
 };
 pub use measure::{measure_open_loop, measure_queue, Measurement, OpenLoopMeasurement};
 pub use obs::{dump_chrome_trace, render_latency_prometheus, render_prometheus, write_metrics};
+pub use regress::{Better, Document, Record};
 pub use report::{
-    render_csv, render_json, render_latency_json, render_markdown, LatencyPoint, LatencySeries,
+    latency_records, render_csv, render_markdown, throughput_records, LatencyPoint, LatencySeries,
     Series, SeriesPoint,
 };
 pub use workload::{ArrivalSchedule, BenchConfig, OpenLoopConfig, Workload};

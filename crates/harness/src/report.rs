@@ -1,5 +1,8 @@
 //! Result series and renderers (markdown tables for EXPERIMENTS.md, CSV
-//! for plotting).
+//! for plotting, and the snapshot records of [`crate::regress`]).
+
+use crate::json::Value;
+use crate::regress::{Better, Record};
 
 /// One (thread count → throughput) point of a Figure 2 line.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,68 +56,31 @@ pub fn render_markdown(series: &[Series], caption: &str) -> String {
     out
 }
 
-/// Renders series as a machine-readable JSON document (the format of the
-/// committed `results/BENCH_*.json` snapshots):
-///
-/// ```json
-/// {"benchmark": "...", "workload": "...", "series": [
-///   {"queue": "WF-10", "points": [
-///     {"threads": 1, "mean_mops": 10.5, "ci_half": 0.2}]}]}
-/// ```
-///
-/// Hand-rolled (no serde in the build environment); the numbers are plain
-/// `{:.6}` decimals, so the output is also stable for diffing snapshots.
-pub fn render_json(benchmark: &str, workload: &str, series: &[Series]) -> String {
-    render_json_with_commit(benchmark, workload, None, series)
-}
-
-/// [`render_json`] plus the optional `"commit"` field of the normalized
-/// snapshot schema (see EXPERIMENTS.md): snapshots committed to `results/`
-/// name the commit they measured, so `wfq-regress` comparisons and the
-/// recorded trajectory stay attributable.
-pub fn render_json_with_commit(
-    benchmark: &str,
-    workload: &str,
-    commit: Option<&str>,
-    series: &[Series],
-) -> String {
-    let mut out = String::new();
-    out.push('{');
-    out.push('\n');
-    if let Some(c) = commit {
-        out.push_str(&format!(
-            "  \"commit\": \"{}\",\n",
-            c.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-    }
-    out.push_str(&format!(
-        "  \"benchmark\": \"{benchmark}\",\n  \"workload\": \"{workload}\",\n  \"series\": [\n"
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"queue\": \"{}\", \"points\": [\n",
-            s.name.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"threads\": {}, \"mean_mops\": {:.6}, \"ci_half\": {:.6}}}{}\n",
-                p.threads,
-                p.mean_mops,
-                p.ci_half,
-                if pi + 1 == s.points.len() { "" } else { "," }
+/// The `figure2` snapshot records: one `throughput_mops` record per
+/// `(queue, threads)`, higher is better, bound 5%.
+pub fn throughput_records(series: &[Series]) -> Vec<Record> {
+    let mut records = Vec::new();
+    for s in series {
+        for p in &s.points {
+            let key = [
+                ("queue", Value::Str(s.name.clone())),
+                ("threads", Value::Num(p.threads as f64)),
+            ];
+            records.push(Record::new(
+                &key,
+                "throughput_mops",
+                "Mops/s",
+                (p.mean_mops, p.ci_half),
+                Better::Higher,
+                5.0,
             ));
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if si + 1 == series.len() { "" } else { "," }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    records
 }
 
 // ----------------------------------------------------------------------
-// Latency-observatory snapshot schema (BENCH_latency.json)
+// Latency-observatory results
 // ----------------------------------------------------------------------
 
 /// One (offered rate → tail latency) point of a latency-observatory
@@ -175,70 +141,48 @@ pub struct LatencySeries {
     pub points: Vec<LatencyPoint>,
 }
 
-/// Renders latency-observatory results as the committed
-/// `results/BENCH_latency.json` schema (see docs/OBSERVABILITY.md):
-/// top-level `commit`/`benchmark`/`workload` mirror the throughput
-/// snapshots so tooling can key on the same fields, plus `schedule` and
-/// `threads` which are per-document here (one sweep = one shape × one
-/// thread count).
-pub fn render_latency_json(
-    schedule: &str,
-    threads: usize,
-    commit: Option<&str>,
-    series: &[LatencySeries],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    if let Some(c) = commit {
-        out.push_str(&format!(
-            "  \"commit\": \"{}\",\n",
-            c.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-    }
-    out.push_str(&format!(
-        "  \"benchmark\": \"latency_observatory\",\n  \"workload\": \"open_loop_pairs\",\n  \"schedule\": \"{schedule}\",\n  \"threads\": {threads},\n  \"series\": [\n"
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"queue\": \"{}\", \"points\": [\n",
-            s.name.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"rate_kops\": {:.3}, \"achieved_kops\": {:.3}, \"saturated\": {}, \"drops\": {}, \"max_lag_ns\": {}, \"backlog\": {}, \
-                 \"p50_ns\": {:.1}, \"p50_ci\": {:.1}, \"p90_ns\": {:.1}, \"p90_ci\": {:.1}, \"p99_ns\": {:.1}, \"p99_ci\": {:.1}, \
-                 \"p999_ns\": {:.1}, \"p999_ci\": {:.1}, \"max_ns\": {:.1}, \"max_ci\": {:.1}, \
-                 \"share_fast\": {:.6}, \"share_slow\": {:.6}, \"share_helped\": {:.6}, \"sampled\": {}}}{}\n",
-                p.rate_kops,
-                p.achieved_kops,
-                p.saturated,
-                p.drops,
-                p.max_lag_ns,
-                p.backlog,
-                p.p50_ns,
-                p.p50_ci,
-                p.p90_ns,
-                p.p90_ci,
-                p.p99_ns,
-                p.p99_ci,
-                p.p999_ns,
-                p.p999_ci,
-                p.max_ns,
-                p.max_ci,
-                p.share_fast,
-                p.share_slow,
-                p.share_helped,
-                p.sampled,
-                if pi + 1 == s.points.len() { "" } else { "," }
-            ));
+/// The `latency_observatory` snapshot records, keyed by `(queue, threads,
+/// rate_kops)`. `p99_ns` (lower is better, bound 10%) and `saturated` (0/1,
+/// lower is better, no interval) are gated, so saturation onset trips the
+/// gate through the general rule; every other field is carried.
+pub fn latency_records(threads: usize, series: &[LatencySeries]) -> Vec<Record> {
+    let mut records = Vec::new();
+    for s in series {
+        for p in &s.points {
+            let key = [
+                ("queue", Value::Str(s.name.clone())),
+                ("threads", Value::Num(threads as f64)),
+                ("rate_kops", Value::Num(p.rate_kops)),
+            ];
+            let carried = |metric, unit, value| Record::carried(&key, metric, unit, value);
+            let quantile = |metric, (mean, ci)| {
+                let gate = if metric == "p99_ns" {
+                    (Better::Lower, 10.0)
+                } else {
+                    (Better::None, 0.0)
+                };
+                Record::new(&key, metric, "ns", (mean, ci), gate.0, gate.1)
+            };
+            let saturated = (f64::from(u8::from(p.saturated)), 0.0);
+            records.extend([
+                carried("achieved_kops", "kops/s", p.achieved_kops),
+                Record::new(&key, "saturated", "bool", saturated, Better::Lower, 10.0),
+                carried("drops", "count", p.drops as f64),
+                carried("max_lag_ns", "ns", p.max_lag_ns as f64),
+                carried("backlog", "count", p.backlog as f64),
+                quantile("p50_ns", (p.p50_ns, p.p50_ci)),
+                quantile("p90_ns", (p.p90_ns, p.p90_ci)),
+                quantile("p99_ns", (p.p99_ns, p.p99_ci)),
+                quantile("p999_ns", (p.p999_ns, p.p999_ci)),
+                quantile("max_ns", (p.max_ns, p.max_ci)),
+                carried("share_fast", "fraction", p.share_fast),
+                carried("share_slow", "fraction", p.share_slow),
+                carried("share_helped", "fraction", p.share_helped),
+                carried("sampled", "count", p.sampled as f64),
+            ]);
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if si + 1 == series.len() { "" } else { "," }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    records
 }
 
 /// Renders series as CSV: `queue,threads,mean_mops,ci_half`.
@@ -258,6 +202,7 @@ pub fn render_csv(series: &[Series]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{parse, Document};
 
     fn sample() -> Vec<Series> {
         vec![
@@ -300,38 +245,51 @@ mod tests {
         assert_eq!(render_csv(&[]).lines().count(), 1);
     }
 
+    fn document(records: Vec<Record>, commit: Option<&str>) -> Document {
+        Document {
+            benchmark: "figure2".into(),
+            workload: "pairwise".into(),
+            provenance: crate::regress::provenance(commit),
+            records,
+        }
+    }
+
     #[test]
     fn json_roundtrips_through_the_parser() {
-        let doc = render_json("figure2", "pairwise", &sample());
-        let v = crate::json::parse(&doc).expect("render_json must emit valid JSON");
-        assert_eq!(v.get("benchmark").unwrap().as_str(), Some("figure2"));
-        assert_eq!(v.get("workload").unwrap().as_str(), Some("pairwise"));
-        let series = v.get("series").unwrap().as_arr().unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].get("queue").unwrap().as_str(), Some("WF-10"));
-        let pts = series[0].get("points").unwrap().as_arr().unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[1].get("threads").unwrap().as_num(), Some(2.0));
-        assert_eq!(pts[1].get("mean_mops").unwrap().as_num(), Some(12.0));
+        let d = document(throughput_records(&sample()), Some("abc1234"));
+        let back = parse(&d.render()).expect("rendered records must parse");
+        assert_eq!(back, d);
+        assert_eq!(back.records.len(), 4);
+        let r = &back.records[1];
+        assert_eq!(r.key[0], ("queue".to_string(), Value::Str("WF-10".into())));
+        assert_eq!(r.key[1], ("threads".to_string(), Value::Num(2.0)));
+        assert_eq!(
+            (r.metric.as_str(), r.unit.as_str()),
+            ("throughput_mops", "Mops/s")
+        );
+        assert_eq!(
+            (r.mean, r.ci_half, r.better, r.bound_pct),
+            (12.0, 0.7, Better::Higher, 5.0)
+        );
     }
 
     #[test]
     fn json_with_commit_carries_the_field_and_still_parses() {
-        let doc = render_json_with_commit("figure2", "pairwise", Some("abc1234"), &sample());
-        let v = crate::json::parse(&doc).unwrap();
-        assert_eq!(v.get("commit").unwrap().as_str(), Some("abc1234"));
-        assert_eq!(v.get("benchmark").unwrap().as_str(), Some("figure2"));
+        let d = parse(&document(throughput_records(&sample()), Some("abc1234")).render()).unwrap();
+        assert_eq!(d.commit(), Some("abc1234"));
+        assert!(d.provenance.iter().any(|(k, _)| k == "nproc"));
         // Without a commit the field is absent, keeping old snapshots and
         // new ones in one schema.
-        let v = crate::json::parse(&render_json("figure2", "pairwise", &sample())).unwrap();
-        assert!(v.get("commit").is_none());
+        let d = parse(&document(throughput_records(&sample()), None).render()).unwrap();
+        assert_eq!(d.commit(), None);
     }
 
     #[test]
     fn json_of_empty_series_is_valid() {
-        let doc = render_json("figure2", "pairwise", &[]);
-        let v = crate::json::parse(&doc).unwrap();
-        assert_eq!(v.get("series").unwrap().as_arr().unwrap().len(), 0);
+        // Valid JSON, but a document the gate refuses: it has nothing to gate.
+        let text = document(throughput_records(&[]), None).render();
+        assert!(crate::json::parse(&text).is_ok());
+        assert!(parse(&text).unwrap_err().contains("no records"));
     }
 
     fn latency_sample() -> Vec<LatencySeries> {
@@ -371,21 +329,32 @@ mod tests {
 
     #[test]
     fn latency_json_roundtrips_through_the_parser() {
-        let doc = render_latency_json("fixed", 2, Some("abc1234"), &latency_sample());
-        let v = crate::json::parse(&doc).expect("render_latency_json must emit valid JSON");
-        assert_eq!(v.get("benchmark").unwrap().as_str(), Some("latency_observatory"));
-        assert_eq!(v.get("workload").unwrap().as_str(), Some("open_loop_pairs"));
-        assert_eq!(v.get("schedule").unwrap().as_str(), Some("fixed"));
-        assert_eq!(v.get("threads").unwrap().as_num(), Some(2.0));
-        let series = v.get("series").unwrap().as_arr().unwrap();
-        assert_eq!(series.len(), 2);
-        let pts = series[0].get("points").unwrap().as_arr().unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].get("rate_kops").unwrap().as_num(), Some(250.0));
-        assert_eq!(pts[0].get("p99_ns").unwrap().as_num(), Some(800.0));
-        assert_eq!(pts[0].get("saturated").unwrap(), &crate::json::Value::Bool(false));
-        assert_eq!(pts[0].get("backlog").unwrap().as_num(), Some(-1.0));
-        assert_eq!(pts[0].get("share_fast").unwrap().as_num(), Some(0.96));
+        let d = Document {
+            benchmark: "latency_observatory".into(),
+            workload: "open_loop_pairs".into(),
+            provenance: crate::regress::provenance(Some("abc1234")),
+            records: latency_records(2, &latency_sample()),
+        };
+        let back = parse(&d.render()).expect("rendered latency records must parse");
+        assert_eq!(back, d);
+        // Every LatencyPoint field is a record: 2 queues × 2 rates × 14.
+        assert_eq!(back.records.len(), 2 * 2 * 14);
+        let at = |metric: &str| {
+            back.records
+                .iter()
+                .find(|r| r.metric == metric)
+                .map(|r| (r.mean, r.ci_half, r.better))
+                .unwrap()
+        };
+        assert_eq!(
+            back.records[0].key[2],
+            ("rate_kops".to_string(), Value::Num(250.0))
+        );
+        assert_eq!(at("p99_ns"), (800.0, 10.0, Better::Lower));
+        assert_eq!(at("saturated"), (0.0, 0.0, Better::Lower));
+        assert_eq!(at("backlog"), (-1.0, 0.0, Better::None));
+        assert_eq!(at("p50_ns"), (160.0, 4.0, Better::None));
+        assert_eq!(at("share_fast"), (0.96, 0.0, Better::None));
     }
 
     #[test]

@@ -280,49 +280,39 @@ impl Drop for EbrThread<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{boxed, count_deleter, Node};
     use std::sync::atomic::AtomicUsize;
-
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
-
-    unsafe fn count_deleter(p: *mut u8) {
-        DROPS.fetch_add(1, Ordering::Relaxed);
-        unsafe { drop(Box::from_raw(p as *mut u64)) };
-    }
-
-    fn boxed(v: u64) -> *mut u8 {
-        Box::into_raw(Box::new(v)) as *mut u8
-    }
 
     #[test]
     fn unpinned_garbage_ages_out() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = EbrDomain::new();
         let mut t = d.register();
         for i in 0..10 {
-            unsafe { t.retire(boxed(i), count_deleter) };
+            unsafe { t.retire(boxed(i, &drops), count_deleter) };
         }
         // Each collect may advance the epoch once; after a few, the
         // garbage is two epochs old and freed.
         for _ in 0..4 {
             t.collect();
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 10);
+        assert_eq!(drops.load(Ordering::Relaxed), 10);
     }
 
     #[test]
     fn pinned_reader_blocks_the_epoch() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = EbrDomain::new();
         let reader = d.register();
         let mut writer = d.register();
 
         let guard = reader.pin();
-        unsafe { writer.retire(boxed(1), count_deleter) };
+        unsafe { writer.retire(boxed(1, &drops), count_deleter) };
         for _ in 0..8 {
             writer.collect();
         }
         assert_eq!(
-            DROPS.load(Ordering::Relaxed),
+            drops.load(Ordering::Relaxed),
             0,
             "pinned reader must hold the epoch back"
         );
@@ -330,7 +320,7 @@ mod tests {
         for _ in 0..4 {
             writer.collect();
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -359,18 +349,19 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_reclaimer() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = EbrDomain::new();
-        let shared = AtomicPtr::new(boxed(0) as *mut u64);
+        let shared = AtomicPtr::new(boxed(0, &drops) as *mut Node);
         let iters = 2_000u64;
         std::thread::scope(|s| {
             {
                 let d = &d;
                 let shared = &shared;
+                let drops = &drops;
                 s.spawn(move || {
                     let mut t = d.register();
                     for i in 1..=iters {
-                        let fresh = boxed(i) as *mut u64;
+                        let fresh = boxed(i, drops) as *mut Node;
                         let old = shared.swap(fresh, Ordering::AcqRel);
                         unsafe { t.retire(old as *mut u8, count_deleter) };
                     }
@@ -389,7 +380,7 @@ mod tests {
                         let p = shared.load(Ordering::Acquire);
                         // SAFETY: read under the pin; the swapper retires
                         // but EBR defers the free past our unpin.
-                        let v = unsafe { *p };
+                        let v = unsafe { (*p).v };
                         assert!(v <= iters);
                         drop(g);
                     }
@@ -398,6 +389,6 @@ mod tests {
         });
         let final_ptr = shared.load(Ordering::Acquire);
         unsafe { drop(Box::from_raw(final_ptr)) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), iters as usize);
+        assert_eq!(drops.load(Ordering::Relaxed), iters as usize);
     }
 }

@@ -299,57 +299,65 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
-
-    unsafe fn count_deleter(p: *mut u8) {
-        DROPS.fetch_add(1, Ordering::Relaxed);
-        unsafe { drop(Box::from_raw(p as *mut u64)) };
+    /// A retirable test node that names its own test's drop counter, so
+    /// tests running in parallel never share (and never reset) a counter.
+    pub(crate) struct Node {
+        pub(crate) v: u64,
+        drops: *const AtomicUsize,
     }
 
-    fn boxed(v: u64) -> *mut u8 {
-        Box::into_raw(Box::new(v)) as *mut u8
+    /// Frees a [`Node`] and bumps the counter it names.
+    pub(crate) unsafe fn count_deleter(p: *mut u8) {
+        // SAFETY: `p` came from `boxed`, and every test declares its
+        // counter before its domain, so the counter outlives each free.
+        let node = unsafe { Box::from_raw(p as *mut Node) };
+        unsafe { (*node.drops).fetch_add(1, Ordering::Relaxed) };
+    }
+
+    pub(crate) fn boxed(v: u64, drops: &AtomicUsize) -> *mut u8 {
+        Box::into_raw(Box::new(Node { v, drops })) as *mut u8
     }
 
     #[test]
     fn retire_without_hazard_frees_on_scan() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = Domain::new();
         let mut t = d.register();
         for i in 0..10 {
-            unsafe { t.retire(boxed(i), count_deleter) };
+            unsafe { t.retire(boxed(i, &drops), count_deleter) };
         }
         t.scan();
-        assert_eq!(DROPS.load(Ordering::Relaxed), 10);
+        assert_eq!(drops.load(Ordering::Relaxed), 10);
         assert_eq!(t.retired_len(), 0);
     }
 
     #[test]
     fn hazard_blocks_reclamation_until_cleared() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = Domain::new();
         let t_protect = d.register();
         let mut t_retire = d.register();
 
-        let node = boxed(42);
-        let src = AtomicPtr::new(node as *mut u64);
+        let node = boxed(42, &drops);
+        let src = AtomicPtr::new(node as *mut Node);
         let got = t_protect.protect(0, &src);
-        assert_eq!(got, node as *mut u64);
+        assert_eq!(got, node as *mut Node);
 
         unsafe { t_retire.retire(node, count_deleter) };
         t_retire.scan();
-        assert_eq!(DROPS.load(Ordering::Relaxed), 0, "protected: must survive");
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "protected: must survive");
         assert_eq!(t_retire.retired_len(), 1);
 
         t_protect.clear(0);
         t_retire.scan();
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn protect_revalidates_against_moving_source() {
         let d = Domain::new();
         let t = d.register();
-        let a = boxed(1) as *mut u64;
+        let a = Box::into_raw(Box::new(1u64));
         let src = AtomicPtr::new(a);
         let p = t.protect(1, &src);
         assert_eq!(p, a);
@@ -378,19 +386,20 @@ mod tests {
 
     #[test]
     fn concurrent_protect_retire_stress() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = AtomicUsize::new(0);
         let d = Arc::new(Domain::new());
-        let shared = Arc::new(AtomicPtr::new(boxed(0) as *mut u64));
+        let shared = Arc::new(AtomicPtr::new(boxed(0, &drops) as *mut Node));
         let iters = 2_000u64;
         std::thread::scope(|s| {
             // Writer: swaps the shared pointer and retires the old one.
             {
                 let d = Arc::clone(&d);
                 let shared = Arc::clone(&shared);
+                let drops = &drops;
                 s.spawn(move || {
                     let mut t = d.register();
                     for i in 1..=iters {
-                        let fresh = boxed(i) as *mut u64;
+                        let fresh = boxed(i, drops) as *mut Node;
                         let old = shared.swap(fresh, Ordering::AcqRel);
                         unsafe { t.retire(old as *mut u8, count_deleter) };
                     }
@@ -405,7 +414,7 @@ mod tests {
                     for _ in 0..iters {
                         let p = t.protect(0, &shared);
                         // SAFETY: protected by slot 0.
-                        let v = unsafe { *p };
+                        let v = unsafe { (*p).v };
                         assert!(v <= iters);
                         t.clear(0);
                     }
@@ -415,6 +424,6 @@ mod tests {
         // Everything except the final node is eventually freed.
         let final_ptr = shared.load(Ordering::Acquire);
         unsafe { drop(Box::from_raw(final_ptr)) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), iters as usize);
+        assert_eq!(drops.load(Ordering::Relaxed), iters as usize);
     }
 }

@@ -17,10 +17,13 @@
 //! - [`fault`]: the deterministic fault-injection layer behind the
 //!   [`inject!`] macro — a compiled-out no-op by default, a seeded
 //!   schedule perturbator under `--features fault-injection`.
+//! - [`Deadline`]: the time bound on the test suites' spin-waits, so a
+//!   lost value fails a test instead of hanging it.
 
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod deadline;
 pub mod delay;
 pub mod dwcas;
 pub mod fault;
@@ -28,5 +31,6 @@ pub mod pad;
 pub mod rng;
 
 pub use backoff::Backoff;
+pub use deadline::Deadline;
 pub use pad::CachePadded;
 pub use rng::XorShift64;

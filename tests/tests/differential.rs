@@ -208,6 +208,7 @@ fn concurrent_delivery<Q: BenchQueue>(q: &Q, seed: u64, producers: u64, per: u64
     let delivered = AtomicU64::new(0);
     let consumers = 2u64;
     let mut out: Vec<u64> = Vec::new();
+    let deadline = wfq_sync::Deadline::new();
     std::thread::scope(|s| {
         for t in 0..producers {
             let q = &q;
@@ -246,6 +247,10 @@ fn concurrent_delivery<Q: BenchQueue>(q: &Q, seed: u64, producers: u64, per: u64
                                 delivered.fetch_add(1, Ordering::Relaxed);
                             }
                             None => {
+                                deadline.check(|| {
+                                    let n = delivered.load(Ordering::Relaxed);
+                                    format!("{}: {n} of {target} values (seed {seed})", Q::NAME)
+                                });
                                 if none_budget > 0 {
                                     none_budget -= 1;
                                     tr.record(OpKind::Dequeue(None), inv);

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use wfq_sync::Deadline;
 use wfqueue::{Config, RawQueue};
 
 /// Sustained traffic must keep the live-segment count bounded: allocation
@@ -37,6 +38,7 @@ fn aggressive_reclamation_is_transparent_to_values() {
     let sum = AtomicU64::new(0);
     let count = AtomicU64::new(0);
     const TOTAL: u64 = 30_000;
+    let deadline = Deadline::new();
     std::thread::scope(|s| {
         for t in 0..3u64 {
             let q = &q;
@@ -54,12 +56,15 @@ fn aggressive_reclamation_is_transparent_to_values() {
             s.spawn(move || {
                 let mut h = q.register();
                 loop {
-                    if count.load(Ordering::Relaxed) >= TOTAL {
+                    let n = count.load(Ordering::Relaxed);
+                    if n >= TOTAL {
                         break;
                     }
                     if let Some(v) = h.dequeue() {
                         sum.fetch_add(v, Ordering::Relaxed);
                         count.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        deadline.check(|| format!("{n} of {TOTAL} values"));
                     }
                 }
             });
@@ -129,6 +134,7 @@ fn reclamation_and_slow_path_dequeues_coexist() {
     let q: RawQueue<8> = RawQueue::with_config(Config::wf0().with_max_garbage(1));
     let stop = AtomicBool::new(false);
     let consumed = AtomicU64::new(0);
+    let deadline = Deadline::new();
     std::thread::scope(|s| {
         // One producer keeps values flowing.
         {
@@ -153,6 +159,8 @@ fn reclamation_and_slow_path_dequeues_coexist() {
                 while got < 15_000 {
                     if h.dequeue().is_some() {
                         got += 1;
+                    } else {
+                        deadline.check(|| format!("a consumer's {got} of 15000 values"));
                     }
                 }
                 consumed.fetch_add(got, Ordering::Relaxed);
@@ -163,7 +171,9 @@ fn reclamation_and_slow_path_dequeues_coexist() {
             let consumed = &consumed;
             let stop = &stop;
             s.spawn(move || {
-                while consumed.load(Ordering::Relaxed) < 30_000 {
+                // A consumer past the deadline fails the test; stop the
+                // producer then too, or the scope never ends.
+                while consumed.load(Ordering::Relaxed) < 30_000 && !deadline.expired() {
                     std::thread::yield_now();
                 }
                 stop.store(true, Ordering::Relaxed);

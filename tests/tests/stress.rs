@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use wfq_baselines::{BenchQueue, CcQueue, KpQueue, Lcrq, MsQueue, MutexQueue, QueueHandle, Wf0};
+use wfq_sync::Deadline;
 use wfqueue::RawQueue;
 
 const PRODUCERS: usize = 3;
@@ -24,6 +25,7 @@ fn stress<Q: BenchQueue>() {
     let consumed = AtomicU64::new(0);
     // Each consumer logs (value) in its own arrival order.
     let logs: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+    let deadline = Deadline::new();
 
     std::thread::scope(|s| {
         for p in 0..PRODUCERS {
@@ -43,12 +45,15 @@ fn stress<Q: BenchQueue>() {
                 let mut h = q.register();
                 let mut mine = Vec::new();
                 loop {
-                    if consumed.load(Ordering::Relaxed) >= total {
+                    let n = consumed.load(Ordering::Relaxed);
+                    if n >= total {
                         break;
                     }
                     if let Some(v) = h.dequeue() {
                         mine.push(v);
                         consumed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        deadline.check(|| format!("{}: {n} of {total} values", Q::NAME));
                     }
                 }
                 logs.lock().unwrap().push(mine);
@@ -151,12 +156,22 @@ fn handle_churn_under_traffic_conserves_values_and_count() {
     let sum = AtomicU64::new(0);
     let got = AtomicU64::new(0);
     let done = AtomicU64::new(0);
+    let deadline = Deadline::new();
+    let awaited = |got: &AtomicU64| format!("{} of {total} values", got.load(Ordering::Relaxed));
     std::thread::scope(|s| {
         for t in 0..producers {
             let q = &q;
+            let done = &done;
             s.spawn(move || {
                 let mut h = q.register();
                 for i in 0..per {
+                    // Hold the second half back until the churner has
+                    // cycled once: a churner scheduled late could
+                    // otherwise find the traffic already over.
+                    while i == per / 2 && done.load(Ordering::Relaxed) == 0 {
+                        deadline.check(|| "the churner's first cycle".into());
+                        std::thread::yield_now();
+                    }
                     h.enqueue(t * per + i + 1);
                 }
             });
@@ -170,6 +185,8 @@ fn handle_churn_under_traffic_conserves_values_and_count() {
                     if let Some(v) = h.dequeue() {
                         sum.fetch_add(v, Ordering::Relaxed);
                         got.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        deadline.check(|| awaited(got));
                     }
                 }
             });
@@ -181,6 +198,7 @@ fn handle_churn_under_traffic_conserves_values_and_count() {
             let (sum, got, done) = (&sum, &got, &done);
             s.spawn(move || {
                 while got.load(Ordering::Relaxed) < total {
+                    deadline.check(|| awaited(got));
                     let mut h = q.register();
                     for _ in 0..16 {
                         if let Some(v) = h.dequeue() {
@@ -218,6 +236,7 @@ fn oversubscribed_wf0_conserves_values() {
     let sum = AtomicU64::new(0);
     let got = AtomicU64::new(0);
     let total = threads as u64 / 2 * per;
+    let deadline = Deadline::new();
     std::thread::scope(|s| {
         for t in 0..threads / 2 {
             let q = &q;
@@ -235,12 +254,15 @@ fn oversubscribed_wf0_conserves_values() {
             s.spawn(move || {
                 let mut h = q.register();
                 loop {
-                    if got.load(Ordering::Relaxed) >= total {
+                    let n = got.load(Ordering::Relaxed);
+                    if n >= total {
                         break;
                     }
                     if let Some(v) = h.dequeue() {
                         sum.fetch_add(v, Ordering::Relaxed);
                         got.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        deadline.check(|| format!("{n} of {total} values"));
                     }
                 }
             });

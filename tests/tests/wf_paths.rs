@@ -2,7 +2,9 @@
 //! patience sweeps, helping, and typed-queue semantics under contention.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
+use wfq_sync::Deadline;
 use wfqueue::{Config, RawQueue, WfQueue};
 
 /// With patience 0 and heavy contention, both slow paths must actually
@@ -19,29 +21,38 @@ fn slow_paths_execute_and_stay_correct() {
         let sum = AtomicU64::new(0);
         let got = AtomicU64::new(0);
         const TOTAL: u64 = 40_000;
+        let deadline = Deadline::new();
+        // All four threads start together: a producer that ran alone
+        // before the consumers existed never raced anyone.
+        let start = Barrier::new(4);
         std::thread::scope(|s| {
             for t in 0..2u64 {
-                let q = &q;
+                let (q, start) = (&q, &start);
                 s.spawn(move || {
                     let mut h = q.register();
+                    start.wait();
                     for v in 0..TOTAL / 2 {
                         h.enqueue(t * (TOTAL / 2) + v + 1);
                     }
                 });
             }
             for _ in 0..2 {
-                let q = &q;
+                let (q, start) = (&q, &start);
                 let sum = &sum;
                 let got = &got;
                 s.spawn(move || {
                     let mut h = q.register();
+                    start.wait();
                     loop {
-                        if got.load(Ordering::Relaxed) >= TOTAL {
+                        let n = got.load(Ordering::Relaxed);
+                        if n >= TOTAL {
                             break;
                         }
                         if let Some(v) = h.dequeue() {
                             sum.fetch_add(v, Ordering::Relaxed);
                             got.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            deadline.check(|| format!("{n} of {TOTAL} values"));
                         }
                     }
                 });
@@ -87,12 +98,17 @@ fn helping_happens_under_wf0_contention() {
     let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
     let got = AtomicU64::new(0);
     const TOTAL: u64 = 60_000;
+    // Register all three before any runs: a thread that finished before
+    // the next registered would hand it its pooled node, leaving a ring
+    // of one with no peer to help.
+    let registered = Barrier::new(3);
     std::thread::scope(|s| {
         for t in 0..3u64 {
-            let q = &q;
+            let (q, registered) = (&q, &registered);
             let got = &got;
             s.spawn(move || {
                 let mut h = q.register();
+                registered.wait();
                 let mut rng = wfq_sync::XorShift64::for_stream(11, t);
                 let tag = (t + 1) << 40;
                 let mut c = 0;
@@ -122,6 +138,7 @@ fn typed_queue_contended_boxes_survive() {
     let q: WfQueue<Box<[u8; 64]>> = WfQueue::with_config(Config::wf0());
     let consumed = AtomicU64::new(0);
     const TOTAL: u64 = 6_000;
+    let deadline = Deadline::new();
     std::thread::scope(|s| {
         for _ in 0..2 {
             let q = &q;
@@ -138,7 +155,8 @@ fn typed_queue_contended_boxes_survive() {
             s.spawn(move || {
                 let mut h = q.handle();
                 loop {
-                    if consumed.load(Ordering::Relaxed) >= TOTAL {
+                    let n = consumed.load(Ordering::Relaxed);
+                    if n >= TOTAL {
                         break;
                     }
                     if let Some(b) = h.dequeue() {
@@ -146,6 +164,8 @@ fn typed_queue_contended_boxes_survive() {
                         let first = b[0];
                         assert!(b.iter().all(|&x| x == first));
                         consumed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        deadline.check(|| format!("{n} of {TOTAL} values"));
                     }
                 }
             });
