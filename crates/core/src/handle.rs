@@ -28,6 +28,8 @@
 
 use core::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 
+use wfq_sync::AsymFence;
+
 use crate::request::{DeqReq, EnqReq};
 use crate::segment::Segment;
 use crate::stats::HandleStats;
@@ -121,14 +123,16 @@ impl<const N: usize> HandleNode<N> {
         self.next.load(Ordering::Acquire)
     }
 
-    /// Publishes this thread's hazard and issues the store-load fence the
-    /// reclamation protocol requires (§3.6 "Overhead"; we always emit the
-    /// fence rather than relying on x86's FAA side effect, which keeps the
-    /// implementation sound under the portable memory model).
+    /// Publishes this thread's hazard, then the light side of the queue's
+    /// asymmetric fence, which orders the store before the segment-pointer
+    /// loads that follow (§3.6 "Overhead"). With `membarrier` that is a
+    /// compiler fence only, and the cleaner's heavy barrier supplies the
+    /// store→load ordering for both sides; without it, a `fence(SeqCst)`
+    /// pairs with the cleaner's (docs/MEMORY_ORDERING.md, Subtlety 1).
     #[inline]
-    pub fn publish_hazard(&self, seg_id: i64) {
-        self.hzd_id.store(seg_id, Ordering::SeqCst);
-        core::sync::atomic::fence(Ordering::SeqCst);
+    pub fn publish_hazard(&self, seg_id: i64, fence: AsymFence) {
+        self.hzd_id.store(seg_id, Ordering::Relaxed);
+        fence.light();
     }
 
     /// Clears the hazard at operation epilogue.
@@ -239,10 +243,12 @@ mod tests {
         let seg = Segment::<64>::alloc(0);
         let n = Node::boxed(seg, 0, 0);
         unsafe {
-            (*n).publish_hazard(5);
-            assert_eq!((*n).hzd_id.load(Ordering::SeqCst), 5);
-            (*n).clear_hazard();
-            assert_eq!((*n).hzd_id.load(Ordering::SeqCst), NO_HAZARD);
+            for (id, fence) in [(5, AsymFence::probe()), (6, AsymFence::Fence)] {
+                (*n).publish_hazard(id, fence);
+                assert_eq!((*n).hzd_id.load(Ordering::SeqCst), id);
+                (*n).clear_hazard();
+                assert_eq!((*n).hzd_id.load(Ordering::SeqCst), NO_HAZARD);
+            }
             drop(Box::from_raw(n));
             Segment::<64>::dealloc(seg);
         }

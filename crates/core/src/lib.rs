@@ -18,7 +18,9 @@
 //! request completes (Kogan–Petrank fast-path-slow-path, specialized to FAA).
 //! The infinite array is emulated by a linked list of fixed-size segments
 //! reclaimed by a custom epoch/hazard scheme (paper Listing 5) that adds no
-//! fence to the x86 fast path.
+//! fence to the x86 fast path: hazards are published behind a compiler
+//! fence, and the rare cleaner pays a process-wide `membarrier` instead
+//! (`fence(SeqCst)` on both sides where the kernel lacks it).
 //!
 //! ## Two API levels
 //!

@@ -241,12 +241,15 @@ mod tests {
             }
         });
         let c = std::thread::spawn(move || {
+            let deadline = wfq_sync::Deadline::new();
             let mut got = 0u64;
             let mut sum = 0u64;
             while got < 1000 {
                 if let Some(v) = consumer.dequeue() {
                     sum += v;
                     got += 1;
+                } else {
+                    deadline.check(|| format!("{got} of 1000 values"));
                 }
             }
             sum
@@ -276,12 +279,16 @@ mod tests {
             }
         });
         let c = std::thread::spawn(move || {
+            let deadline = wfq_sync::Deadline::new();
             let mut sum = 0u64;
             let mut got = 0usize;
             let mut out = Vec::new();
             while got < 1000 {
                 out.clear();
-                got += consumer.dequeue_batch(&mut out, 16);
+                match consumer.dequeue_batch(&mut out, 16) {
+                    0 => deadline.check(|| format!("{got} of 1000 values")),
+                    n => got += n,
+                }
                 sum += out.iter().sum::<u64>();
             }
             sum

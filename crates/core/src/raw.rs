@@ -9,14 +9,15 @@
 //! Dijkstra-protocol read pairs, the `T`/`H` emptiness reads) uses `SeqCst`,
 //! which on x86_64 lowers to exactly the `lock`-prefixed instructions and
 //! plain loads the paper's C implementation uses; pointer publication uses
-//! acquire/release. The only fence beyond the paper's is the one after
-//! hazard publication (see [`crate::handle`]), which the portable memory
-//! model requires and x86 gets almost for free.
+//! acquire/release. Hazard publication is a `Relaxed` store plus the light
+//! side of an asymmetric fence (a compiler fence where the kernel offers
+//! `membarrier`, else `fence(SeqCst)`); the rare cleaner pays the heavy
+//! side (see [`crate::reclaim`] and docs/MEMORY_ORDERING.md, Subtlety 1).
 
-use core::sync::atomic::{fence, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use wfq_sync::{inject, CachePadded};
+use wfq_sync::{inject, AsymFence, CachePadded};
 
 use crate::cell::{
     is_valid_value, Cell, DEQ_BOTTOM, ENQ_BOTTOM, ENQ_TOP, VAL_BOTTOM, VAL_TOP,
@@ -119,6 +120,10 @@ pub struct RawQueue<const N: usize = DEFAULT_SEGMENT_SIZE> {
     /// Segment recycling pool and allocation gate (inert when unbounded).
     pub(crate) pool: SegmentPool<N>,
     pub(crate) config: Config,
+    /// The hazard handshake's fence pair, probed once per process: owners
+    /// publish with its light side, the cleaner pays its heavy side. Kept
+    /// per queue so one queue's owners and cleaner always agree.
+    pub(crate) hazard_fence: AsymFence,
     /// Durable mode: the persist sink mirroring the three commit
     /// frontiers, `None` for a volatile queue (DESIGN.md §12).
     #[cfg(feature = "durable")]
@@ -159,6 +164,12 @@ impl<const N: usize> RawQueue<N> {
 
     /// Creates an empty queue with an explicit configuration.
     pub fn with_config(config: Config) -> Self {
+        Self::with_fence(config, AsymFence::probe())
+    }
+
+    /// Creates an empty queue whose hazard handshake uses `hazard_fence`
+    /// (tests force [`AsymFence::Fence`] to cover the fallback).
+    pub(crate) fn with_fence(config: Config, hazard_fence: AsymFence) -> Self {
         assert!(N.is_power_of_two(), "segment size must be a power of two");
         let seg = Segment::<N>::alloc(0);
         Self {
@@ -171,6 +182,7 @@ impl<const N: usize> RawQueue<N> {
             active_count: AtomicU64::new(0),
             pool: SegmentPool::new(config.segment_ceiling),
             config,
+            hazard_fence,
             #[cfg(feature = "durable")]
             persist: None,
         }
@@ -386,7 +398,10 @@ impl<const N: usize> RawQueue<N> {
         );
         wfq_obs::phase!(
             wfq_obs::Phase::Hazard,
-            h.publish_hazard(h.tail_seg_id.load(Ordering::Relaxed) as i64)
+            h.publish_hazard(
+                h.tail_seg_id.load(Ordering::Relaxed) as i64,
+                self.hazard_fence
+            )
         );
 
         // Lines 57–59: fast path up to PATIENCE extra times, then slow path.
@@ -672,7 +687,10 @@ impl<const N: usize> RawQueue<N> {
     pub(crate) fn dequeue_internal(&self, h: &HandleNode<N>) -> Option<u64> {
         wfq_obs::phase!(
             wfq_obs::Phase::Hazard,
-            h.publish_hazard(h.head_seg_id.load(Ordering::Relaxed) as i64)
+            h.publish_hazard(
+                h.head_seg_id.load(Ordering::Relaxed) as i64,
+                self.hazard_fence
+            )
         );
         inject!("deq::hazard_published");
 
@@ -886,7 +904,10 @@ impl<const N: usize> RawQueue<N> {
         if k == 1 {
             return self.enqueue_internal(h, vs[0]);
         }
-        h.publish_hazard(h.tail_seg_id.load(Ordering::Relaxed) as i64);
+        h.publish_hazard(
+            h.tail_seg_id.load(Ordering::Relaxed) as i64,
+            self.hazard_fence,
+        );
         HandleStats::bump(&h.stats.enq_batches);
         HandleStats::add(&h.stats.enq_batched_vals, k);
         wfq_obs::record!(wfq_obs::EventKind::EnqBatch, k);
@@ -996,7 +1017,10 @@ impl<const N: usize> RawQueue<N> {
         if k == 0 {
             return 0;
         }
-        h.publish_hazard(h.head_seg_id.load(Ordering::Relaxed) as i64);
+        h.publish_hazard(
+            h.head_seg_id.load(Ordering::Relaxed) as i64,
+            self.hazard_fence,
+        );
         inject!("deq::hazard_published");
 
         let h_idx = self.head_index.load(Ordering::SeqCst);
@@ -1134,8 +1158,7 @@ impl<const N: usize> RawQueue<N> {
         // already finished (hazard cleared), the state re-read below bails
         // out before any segment is touched.
         let adopted = helpee.hzd_id.load(Ordering::SeqCst);
-        h.hzd_id.store(adopted, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
+        h.publish_hazard(adopted, self.hazard_fence);
         // The hazard "backward jump": this thread's published hazard may
         // now be *older* than where a concurrent cleaner's forward pass
         // already scanned — exactly what the reverse pass must catch.
@@ -1392,6 +1415,14 @@ pub(crate) fn test_node<const N: usize>(h: &Handle<'_, N>) -> *mut HandleNode<N>
     h.node
 }
 
+/// The hazard-fence modes a test runs the queue in: the one this process
+/// probed, then the `fence(SeqCst)` fallback (the same mode twice where the
+/// kernel offers no `membarrier`).
+#[cfg(test)]
+pub(crate) fn fence_modes() -> [AsymFence; 2] {
+    [AsymFence::probe(), AsymFence::Fence]
+}
+
 impl<const N: usize> core::fmt::Debug for RawQueue<N> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let (h, t) = self.indices();
@@ -1400,6 +1431,7 @@ impl<const N: usize> core::fmt::Debug for RawQueue<N> {
             .field("head_index", &h)
             .field("tail_index", &t)
             .field("config", &self.config)
+            .field("hazard_fence", &self.hazard_fence)
             .finish()
     }
 }
@@ -1465,6 +1497,7 @@ mod tests {
         // enqueues must complete via enq_slow — and remain correct.
         let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
         let total = std::sync::atomic::AtomicU64::new(0);
+        let deadline = wfq_sync::Deadline::new();
         std::thread::scope(|s| {
             for t in 0..2 {
                 let q = &q;
@@ -1484,6 +1517,8 @@ mod tests {
                     while got < 2000 {
                         if h.dequeue().is_some() {
                             got += 1;
+                        } else {
+                            deadline.check(|| format!("a consumer's {got} of 2000 values"));
                         }
                     }
                     total.fetch_add(got, Ordering::Relaxed);
@@ -1495,39 +1530,46 @@ mod tests {
 
     #[test]
     fn values_are_conserved_across_threads() {
-        let q: RawQueue<256> = RawQueue::new();
         const PER: u64 = 5_000;
         const PRODUCERS: u64 = 4;
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    for v in 0..PER {
-                        h.enqueue(t * PER + v + 1);
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let q = &q;
-                let sum = &sum;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let mut local = 0u64;
-                    let mut got = 0u64;
-                    while got < PER {
-                        if let Some(v) = h.dequeue() {
-                            local += v;
-                            got += 1;
+        for fence in fence_modes() {
+            let q: RawQueue<256> = RawQueue::with_fence(Config::default(), fence);
+            let sum = std::sync::atomic::AtomicU64::new(0);
+            let deadline = wfq_sync::Deadline::new();
+            std::thread::scope(|s| {
+                for t in 0..PRODUCERS {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut h = q.register();
+                        for v in 0..PER {
+                            h.enqueue(t * PER + v + 1);
                         }
-                    }
-                    sum.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        let expect: u64 = (1..=PRODUCERS * PER).sum();
-        assert_eq!(sum.load(Ordering::Relaxed), expect);
+                    });
+                }
+                for _ in 0..4 {
+                    let q = &q;
+                    let sum = &sum;
+                    s.spawn(move || {
+                        let mut h = q.register();
+                        let mut local = 0u64;
+                        let mut got = 0u64;
+                        while got < PER {
+                            if let Some(v) = h.dequeue() {
+                                local += v;
+                                got += 1;
+                            } else {
+                                deadline.check(|| {
+                                    format!("{fence:?}: a consumer's {got} of {PER} values")
+                                });
+                            }
+                        }
+                        sum.fetch_add(local, Ordering::Relaxed);
+                    });
+                }
+            });
+            let expect: u64 = (1..=PRODUCERS * PER).sum();
+            assert_eq!(sum.load(Ordering::Relaxed), expect, "{fence:?}");
+        }
     }
 
     /// Producers that pause between enqueues (a `format!`) let spinning
@@ -1807,6 +1849,7 @@ mod tests {
         const PRODUCERS: u64 = 3;
         let sum = std::sync::atomic::AtomicU64::new(0);
         let taken = std::sync::atomic::AtomicU64::new(0);
+        let deadline = wfq_sync::Deadline::new();
         std::thread::scope(|s| {
             for t in 0..PRODUCERS {
                 let q = &q;
@@ -1834,6 +1877,11 @@ mod tests {
                         if n > 0 {
                             local += out.iter().sum::<u64>();
                             taken.fetch_add(n, Ordering::Relaxed);
+                        } else {
+                            deadline.check(|| {
+                                let got = taken.load(Ordering::Relaxed);
+                                format!("{got} of {} values", PRODUCERS * PER)
+                            });
                         }
                     }
                     sum.fetch_add(local, Ordering::Relaxed);
@@ -1851,6 +1899,7 @@ mod tests {
         // through the help ring; values must still be conserved in order.
         let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
         let taken = std::sync::atomic::AtomicU64::new(0);
+        let deadline = wfq_sync::Deadline::new();
         std::thread::scope(|s| {
             for t in 0..2u64 {
                 let q = &q;
@@ -1876,6 +1925,10 @@ mod tests {
                         let n = h.dequeue_batch(&mut out, 7) as u64;
                         if n > 0 {
                             taken.fetch_add(n, Ordering::Relaxed);
+                        } else {
+                            deadline.check(|| {
+                                format!("{} of 4000 values", taken.load(Ordering::Relaxed))
+                            });
                         }
                         for &v in &out {
                             // Per-producer order must survive the help ring.

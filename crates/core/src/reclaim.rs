@@ -25,12 +25,21 @@
 //! which would disable reclamation forever; like the authors' released C
 //! code we restore `I` on that path.
 //!
+//! Hazard publication is asymmetric (docs/MEMORY_ORDERING.md, Subtlety 1):
+//! owners store their hazard `Relaxed` behind the light side of the
+//! queue's [`AsymFence`](wfq_sync::AsymFence), and the cleaner issues the
+//! heavy side in two places: after each pointer-push CAS, before its
+//! `verify` re-read, and once between the forward and backward passes,
+//! before the reverse re-read. Should a heavy barrier ever fail, the pass
+//! is abandoned: `I` is restored and nothing is freed, which is always
+//! safe.
+//!
 //! Hazards are **segment ids**, not pointers, exactly as in the authors' C
 //! code (`hzd_node_id`): a cleaner never dereferences another thread's
 //! hazard slot, so a stale hazard can only make reclamation more
 //! conservative, never unsound.
 
-use core::sync::atomic::{fence, AtomicPtr, Ordering};
+use core::sync::atomic::{AtomicPtr, Ordering};
 
 use wfq_sync::inject;
 
@@ -157,11 +166,15 @@ impl<const N: usize> RawQueue<N> {
             // SAFETY: ring nodes live for the queue's lifetime.
             let pn = unsafe { &*p };
             verify(&mut boundary, pn.hzd_id.load(Ordering::SeqCst)); // line 229
-            self.update_pointer(&pn.head, &mut boundary, pn, start, oid, &h.stats); // line 230
+            if !self.update_pointer(&pn.head, &mut boundary, pn, start, &h.stats) {
+                return self.abandon_pass(oid); // line 230
+            }
             if boundary <= oid {
                 break;
             }
-            self.update_pointer(&pn.tail, &mut boundary, pn, start, oid, &h.stats); // line 231
+            if !self.update_pointer(&pn.tail, &mut boundary, pn, start, &h.stats) {
+                return self.abandon_pass(oid); // line 231
+            }
             if boundary <= oid {
                 break;
             }
@@ -173,7 +186,14 @@ impl<const N: usize> RawQueue<N> {
         }
 
         // Line 235: backward pass catches hazard "backward jumps" that
-        // happened behind the forward pass.
+        // happened behind the forward pass. Its re-reads must come after a
+        // heavy barrier: a helper adopts an older hazard with only a light
+        // fence, and the barrier is what guarantees that either the
+        // re-read sees the adoption or the helper's request re-read (line
+        // 165) sees the helpee's operation closed and bails out.
+        if boundary > oid && self.hazard_fence.heavy().is_err() {
+            return self.abandon_pass(oid);
+        }
         for &p in visited.iter().rev() {
             if boundary <= oid {
                 break;
@@ -220,18 +240,29 @@ impl<const N: usize> RawQueue<N> {
         }
     }
 
+    /// Ends a pass whose heavy barrier failed: the hazards it read may be
+    /// stale, so it frees nothing and puts the token back unchanged. The
+    /// pointers it already pushed target segments ≥ the old front, all of
+    /// which stay live.
+    #[cold]
+    fn abandon_pass(&self, oid: u64) {
+        self.oldest_id.store(oid as i64, Ordering::Release);
+    }
+
     /// The paper's `update` (lines 239–247): push a lagging head/tail
     /// pointer of thread `p` forward to the boundary, or concede the
-    /// boundary down to wherever that thread actually is.
+    /// boundary down to wherever that thread actually is. Returns false
+    /// if the heavy barrier before the re-verify failed, in which case the
+    /// caller must abandon the pass.
+    #[must_use]
     fn update_pointer(
         &self,
         from: &AtomicPtr<Segment<N>>,
         boundary: &mut u64,
         p: &HandleNode<N>,
         start: *mut Segment<N>,
-        oid: u64,
         cleaner: &crate::stats::HandleStats,
-    ) {
+    ) -> bool {
         let n = from.load(Ordering::Acquire);
         // SAFETY: thread pointers always reference live (≥ oid) segments.
         let n_id = unsafe { (*n).id() };
@@ -251,11 +282,16 @@ impl<const N: usize> RawQueue<N> {
                 }
             }
             // Line 246: Dijkstra protocol — after the CAS, re-verify the
-            // owner's hazard; it may have been published concurrently.
-            fence(Ordering::SeqCst);
+            // owner's hazard; it may have been published concurrently. The
+            // owner fenced only lightly, so the heavy barrier orders both
+            // sides: either this re-read sees the hazard, or the owner's
+            // pointer load sees the CAS.
+            if self.hazard_fence.heavy().is_err() {
+                return false;
+            }
             verify(boundary, p.hzd_id.load(Ordering::SeqCst));
         }
-        let _ = oid;
+        true
     }
 }
 
@@ -288,7 +324,7 @@ fn resolve<const N: usize>(start: *mut Segment<N>, id: u64) -> *mut Segment<N> {
 mod tests {
     use super::*;
     use crate::config::Config;
-    use crate::raw::RawQueue;
+    use crate::raw::{fence_modes, RawQueue};
 
     #[test]
     fn verify_clamps_only_downward() {
@@ -305,185 +341,215 @@ mod tests {
 
     #[test]
     fn single_thread_traffic_reclaims_segments() {
-        // Small segments + tiny threshold: a drain must free the prefix.
-        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(2));
-        let mut h = q.register();
-        for round in 0..50u64 {
-            for v in 0..64 {
-                h.enqueue(round * 64 + v + 1);
+        for fence in fence_modes() {
+            // Small segments + tiny threshold: a drain must free the prefix.
+            let q: RawQueue<8> = RawQueue::with_fence(Config::default().with_max_garbage(2), fence);
+            let mut h = q.register();
+            for round in 0..50u64 {
+                for v in 0..64 {
+                    h.enqueue(round * 64 + v + 1);
+                }
+                for _ in 0..64 {
+                    assert!(h.dequeue().is_some());
+                }
             }
-            for _ in 0..64 {
-                assert!(h.dequeue().is_some());
-            }
+            let s = q.stats();
+            assert!(
+                s.segs_freed > 0,
+                "{fence:?}: expected reclamation to run; stats: {s:?}"
+            );
+            assert!(s.cleanups > 0);
+            // The live window must stay small: everything but a bounded
+            // tail of segments was freed.
+            assert!(
+                s.live_segments() < 20,
+                "{fence:?}: segments leaked: {} live",
+                s.live_segments()
+            );
         }
-        let s = q.stats();
-        assert!(
-            s.segs_freed > 0,
-            "expected reclamation to run; stats: {s:?}"
-        );
-        assert!(s.cleanups > 0);
-        // The live window must stay small: everything but a bounded tail
-        // of segments was freed.
-        assert!(
-            s.live_segments() < 20,
-            "segments leaked: {} live",
-            s.live_segments()
-        );
     }
 
     #[test]
     fn front_id_tracks_oldest_id_after_reclaim() {
-        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(1));
-        let mut h = q.register();
-        for v in 1..=400u64 {
-            h.enqueue(v);
+        for fence in fence_modes() {
+            let q: RawQueue<8> = RawQueue::with_fence(Config::default().with_max_garbage(1), fence);
+            let mut h = q.register();
+            for v in 1..=400u64 {
+                h.enqueue(v);
+            }
+            for _ in 0..400 {
+                h.dequeue();
+            }
+            let i = q.oldest_id.load(Ordering::Acquire);
+            assert!(i > 0, "{fence:?}: oldest id should have advanced, got {i}");
+            let front = q.q.load(Ordering::Acquire);
+            assert_eq!(unsafe { (*front).id() }, i as u64, "{fence:?}");
         }
-        for _ in 0..400 {
-            h.dequeue();
-        }
-        let i = q.oldest_id.load(Ordering::Acquire);
-        assert!(i > 0, "oldest id should have advanced, got {i}");
-        let front = q.q.load(Ordering::Acquire);
-        assert_eq!(unsafe { (*front).id() }, i as u64);
     }
 
     #[test]
     fn no_reclaim_below_threshold() {
-        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(1_000_000));
-        let mut h = q.register();
-        for v in 1..=200u64 {
-            h.enqueue(v);
+        for fence in fence_modes() {
+            let q: RawQueue<8> =
+                RawQueue::with_fence(Config::default().with_max_garbage(1_000_000), fence);
+            let mut h = q.register();
+            for v in 1..=200u64 {
+                h.enqueue(v);
+            }
+            for _ in 0..200 {
+                h.dequeue();
+            }
+            assert_eq!(q.stats().segs_freed, 0, "{fence:?}");
         }
-        for _ in 0..200 {
-            h.dequeue();
-        }
-        assert_eq!(q.stats().segs_freed, 0);
     }
 
     #[test]
     fn idle_peer_does_not_block_reclamation_forever() {
-        // A registered-but-idle handle lags at segment 0; the cleaner must
-        // push its pointers forward rather than abort every pass.
-        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(2));
-        let _idle = q.register();
-        let mut h = q.register();
-        for v in 1..=800u64 {
-            h.enqueue(v);
+        for fence in fence_modes() {
+            // A registered-but-idle handle lags at segment 0; the cleaner
+            // must push its pointers forward rather than abort every pass.
+            let q: RawQueue<8> = RawQueue::with_fence(Config::default().with_max_garbage(2), fence);
+            let _idle = q.register();
+            let mut h = q.register();
+            for v in 1..=800u64 {
+                h.enqueue(v);
+            }
+            for _ in 0..800 {
+                h.dequeue();
+            }
+            assert!(
+                q.stats().segs_freed > 0,
+                "{fence:?}: idle handle must not pin all garbage"
+            );
         }
-        for _ in 0..800 {
-            h.dequeue();
-        }
-        assert!(
-            q.stats().segs_freed > 0,
-            "idle handle must not pin all garbage"
-        );
     }
 
     #[test]
     fn churned_handles_do_not_inflate_the_auto_threshold() {
-        // Regression: the auto MAX_GARBAGE threshold used the
-        // ever-registered handle count, so 64 dead registrations made it
-        // 2 × 65 = 130 segments and this workload (50 segments of garbage)
-        // would never reclaim. With the live count it is max(2 × 1, 4) = 4.
-        let q: RawQueue<8> = RawQueue::new();
-        let parked: Vec<_> = (0..64).map(|_| q.register()).collect();
-        drop(parked);
-        assert_eq!(q.handle_count.load(Ordering::Relaxed), 64);
-        assert_eq!(q.active_count.load(Ordering::Relaxed), 0);
-        let mut h = q.register();
-        for v in 1..=400u64 {
-            h.enqueue(v);
+        for fence in fence_modes() {
+            // Regression: the auto MAX_GARBAGE threshold used the
+            // ever-registered handle count, so 64 dead registrations made
+            // it 2 × 65 = 130 segments and this workload (50 segments of
+            // garbage) would never reclaim. With the live count it is
+            // max(2 × 1, 4) = 4.
+            let q: RawQueue<8> = RawQueue::with_fence(Config::default(), fence);
+            let parked: Vec<_> = (0..64).map(|_| q.register()).collect();
+            drop(parked);
+            assert_eq!(q.handle_count.load(Ordering::Relaxed), 64);
+            assert_eq!(q.active_count.load(Ordering::Relaxed), 0);
+            let mut h = q.register();
+            for v in 1..=400u64 {
+                h.enqueue(v);
+            }
+            for _ in 0..400 {
+                h.dequeue();
+            }
+            assert!(
+                q.stats().segs_freed > 0,
+                "{fence:?}: dead registrations must not raise the reclamation threshold"
+            );
         }
-        for _ in 0..400 {
-            h.dequeue();
-        }
-        assert!(
-            q.stats().segs_freed > 0,
-            "dead registrations must not raise the reclamation threshold"
-        );
     }
 
     #[test]
     fn bounded_mode_recycles_instead_of_freeing() {
-        let q: RawQueue<8> = RawQueue::with_config(
-            Config::default().with_max_garbage(2).with_segment_ceiling(64),
-        );
-        let mut h = q.register();
-        for round in 0..50u64 {
-            for v in 0..64 {
-                h.enqueue(round * 64 + v + 1);
+        for fence in fence_modes() {
+            let q: RawQueue<8> = RawQueue::with_fence(
+                Config::default()
+                    .with_max_garbage(2)
+                    .with_segment_ceiling(64),
+                fence,
+            );
+            let mut h = q.register();
+            for round in 0..50u64 {
+                for v in 0..64 {
+                    h.enqueue(round * 64 + v + 1);
+                }
+                for _ in 0..64 {
+                    assert!(h.dequeue().is_some());
+                }
             }
-            for _ in 0..64 {
-                assert!(h.dequeue().is_some());
-            }
+            let s = q.stats();
+            assert!(
+                s.segs_freed > 0,
+                "{fence:?}: reclamation must still run: {s:?}"
+            );
+            assert_eq!(
+                s.segs_recycled, s.segs_freed,
+                "{fence:?}: bounded mode must recycle every retired segment"
+            );
+            let g = q.gauges();
+            assert!(g.pooled_segments > 0, "{g:?}");
+            assert_eq!(g.segment_ceiling, Some(64));
+            // Drop the queue: pooled segments must be freed (leak-checked
+            // under the sanitizer CI job).
         }
-        let s = q.stats();
-        assert!(s.segs_freed > 0, "reclamation must still run: {s:?}");
-        assert_eq!(
-            s.segs_recycled, s.segs_freed,
-            "bounded mode must recycle every retired segment"
-        );
-        let g = q.gauges();
-        assert!(g.pooled_segments > 0, "{g:?}");
-        assert_eq!(g.segment_ceiling, Some(64));
-        // Drop the queue: pooled segments must be freed (leak-checked
-        // under the sanitizer CI job).
     }
 
     #[test]
     fn forced_cleanup_reclaims_without_a_dequeuer_threshold() {
-        // A pure producer-side pass: fill, drain, fill again, then invoke
-        // the forced path directly — it must reclaim the consumed prefix.
-        let q: RawQueue<8> =
-            RawQueue::with_config(Config::default().with_max_garbage(1_000_000));
-        let mut h = q.register();
-        for v in 1..=400u64 {
-            h.enqueue(v);
+        for fence in fence_modes() {
+            // A pure producer-side pass: fill, drain, fill again, then
+            // invoke the forced path directly — it must reclaim the
+            // consumed prefix.
+            let q: RawQueue<8> =
+                RawQueue::with_fence(Config::default().with_max_garbage(1_000_000), fence);
+            let mut h = q.register();
+            for v in 1..=400u64 {
+                h.enqueue(v);
+            }
+            for _ in 0..400 {
+                h.dequeue();
+            }
+            assert_eq!(q.stats().segs_freed, 0, "threshold too high to trip");
+            // SAFETY: node pointer valid while the handle lives.
+            let node = unsafe { &*crate::raw::test_node(&h) };
+            q.forced_cleanup(node);
+            assert!(
+                q.stats().segs_freed > 0,
+                "{fence:?}: forced pass must reclaim the consumed prefix"
+            );
         }
-        for _ in 0..400 {
-            h.dequeue();
-        }
-        assert_eq!(q.stats().segs_freed, 0, "threshold too high to trip");
-        // SAFETY: node pointer valid while the handle lives.
-        let node = unsafe { &*crate::raw::test_node(&h) };
-        q.forced_cleanup(node);
-        assert!(
-            q.stats().segs_freed > 0,
-            "forced pass must reclaim the consumed prefix"
-        );
     }
 
     #[test]
     fn concurrent_traffic_with_reclamation_stays_bounded() {
-        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(2));
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    for v in 0..5_000u64 {
-                        h.enqueue(t * 100_000 + v + 1);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let mut got = 0;
-                    while got < 5_000 {
-                        if h.dequeue().is_some() {
-                            got += 1;
+        for fence in fence_modes() {
+            let q: RawQueue<8> = RawQueue::with_fence(Config::default().with_max_garbage(2), fence);
+            let deadline = wfq_sync::Deadline::new();
+            std::thread::scope(|s| {
+                for t in 0..2u64 {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut h = q.register();
+                        for v in 0..5_000u64 {
+                            h.enqueue(t * 100_000 + v + 1);
                         }
-                    }
-                });
-            }
-        });
-        let s = q.stats();
-        assert!(s.segs_freed > 0, "reclamation never ran: {s:?}");
-        assert!(
-            s.live_segments() < 10_000 / 8,
-            "live segments not bounded: {s:?}"
-        );
+                    });
+                }
+                for _ in 0..2 {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut h = q.register();
+                        let mut got = 0;
+                        while got < 5_000 {
+                            if h.dequeue().is_some() {
+                                got += 1;
+                            } else {
+                                deadline.check(|| {
+                                    format!("{fence:?}: a consumer's {got} of 5000 values")
+                                });
+                            }
+                        }
+                    });
+                }
+            });
+            let s = q.stats();
+            assert!(s.segs_freed > 0, "{fence:?}: reclamation never ran: {s:?}");
+            assert!(
+                s.live_segments() < 10_000 / 8,
+                "{fence:?}: live segments not bounded: {s:?}"
+            );
+        }
     }
 }

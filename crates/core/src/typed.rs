@@ -308,6 +308,7 @@ mod tests {
             }
             let consumed = AtomicUsize::new(0);
             let consumed = &consumed;
+            let deadline = wfq_sync::Deadline::new();
             std::thread::scope(|s2| {
                 for _ in 0..2 {
                     let q = &q;
@@ -316,6 +317,11 @@ mod tests {
                         while consumed.load(Ordering::Relaxed) < producers * per {
                             if h.dequeue().is_some() {
                                 consumed.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                deadline.check(|| {
+                                    let got = consumed.load(Ordering::Relaxed);
+                                    format!("{got} of {} values", producers * per)
+                                });
                             }
                         }
                     });
@@ -373,6 +379,7 @@ mod tests {
     fn mpmc_string_traffic() {
         let q: WfQueue<String> = WfQueue::new();
         let total = AtomicUsize::new(0);
+        let deadline = wfq_sync::Deadline::new();
         std::thread::scope(|s| {
             for t in 0..3 {
                 let q = &q;
@@ -393,6 +400,8 @@ mod tests {
                         if let Some(v) = h.dequeue() {
                             assert!(v.contains('-'));
                             got += 1;
+                        } else {
+                            deadline.check(|| format!("a consumer's {got} of 300 values"));
                         }
                     }
                     total.fetch_add(got, Ordering::Relaxed);

@@ -17,11 +17,15 @@
 //! - [`fault`]: the deterministic fault-injection layer behind the
 //!   [`inject!`] macro — a compiled-out no-op by default, a seeded
 //!   schedule perturbator under `--features fault-injection`.
+//! - [`AsymFence`](asym_fence::AsymFence): a store→load barrier split
+//!   between a near-free frequent side and a `membarrier` rare side (the
+//!   queue's hazard publication vs. its reclamation pass).
 //! - [`Deadline`]: the time bound on the test suites' spin-waits, so a
 //!   lost value fails a test instead of hanging it.
 
 #![warn(missing_docs)]
 
+pub mod asym_fence;
 pub mod backoff;
 pub mod deadline;
 pub mod delay;
@@ -30,6 +34,7 @@ pub mod fault;
 pub mod pad;
 pub mod rng;
 
+pub use asym_fence::AsymFence;
 pub use backoff::Backoff;
 pub use deadline::Deadline;
 pub use pad::CachePadded;
