@@ -15,6 +15,8 @@
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
+use wfq_sync::inject;
+
 use crate::request::{DeqReq, EnqReq};
 
 /// ⊥ — the "never written" value sentinel.
@@ -58,8 +60,23 @@ impl Cell {
 
     /// The help_enq opening move (paper line 91): attempt `(val: ⊥ → ⊤)`.
     /// Returns the value if the cell already held a real one.
+    ///
+    /// Read before poison, as the authors' `help_enq` does (`spin` on
+    /// `c->val`, then the CAS only while it is still ⊥): a cell holding a
+    /// value or ⊤ costs one load, not a failing locked CAS. `val` never
+    /// returns to ⊥, and a failed `SeqCst` CAS is itself a `SeqCst` load,
+    /// so the answer is the one the CAS alone would give
+    /// (docs/MEMORY_ORDERING.md, "Read before poison").
     #[inline]
     pub fn mark_or_value(&self) -> Option<u64> {
+        match self.val.load(Ordering::SeqCst) {
+            VAL_BOTTOM => {}
+            VAL_TOP => return None,
+            v => return Some(v),
+        }
+        // An enqueuer may deposit between the load above and the CAS; the
+        // CAS then fails and returns its value.
+        inject!("help_enq::pre_mark");
         match self
             .val
             .compare_exchange(VAL_BOTTOM, VAL_TOP, Ordering::SeqCst, Ordering::SeqCst)

@@ -115,16 +115,18 @@ pub const DEFAULT_PATIENCE: u32 = 10;
 /// Every named fault-injection point compiled into this crate
 /// (`wfq_sync::inject!` sites). The schedule fuzzer asserts its sweep
 /// drives each of these at least once; keep this list in sync with the
-/// `inject!("...")` calls in `raw.rs`, `reclaim.rs`, and `pool.rs`.
+/// `inject!("...")` calls in `raw.rs`, `cell.rs`, `reclaim.rs`, and
+/// `pool.rs`.
 ///
 /// Points are named `<protocol>::<window>` after the race window they sit
 /// in, not the function they appear in (see DESIGN.md).
 pub const FAULT_POINTS: &[&str] = &[
-    // raw.rs — enqueue (Listings 2–3).
+    // raw.rs and cell.rs — enqueue (Listings 2–3).
     "enq_fast::post_faa",
     "enq_slow::request_published",
     "enq_slow::cell_reserved",
     "enq_slow::pre_commit",
+    "help_enq::pre_mark",
     "help_enq::pre_reserve",
     "help_enq::top_race",
     "help_enq::pre_complete",

@@ -392,10 +392,9 @@ impl<const N: usize> RawQueue<N> {
     // ------------------------------------------------------------------
 
     pub(crate) fn enqueue_internal(&self, h: &HandleNode<N>, v: u64) {
-        assert!(
-            is_valid_value(v),
-            "RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}"
-        );
+        if !is_valid_value(v) {
+            reserved_value(v);
+        }
         wfq_obs::phase!(
             wfq_obs::Phase::Hazard,
             h.publish_hazard(
@@ -571,7 +570,7 @@ impl<const N: usize> RawQueue<N> {
     // ------------------------------------------------------------------
 
     pub(crate) fn help_enq(&self, h: &HandleNode<N>, c: &Cell, i: u64) -> HelpEnq {
-        // Line 91: poison-or-read.
+        // Line 91: read, and poison only a ⊥ cell.
         if let Some(v) = c.mark_or_value() {
             return HelpEnq::Value(v);
         }
@@ -892,10 +891,9 @@ impl<const N: usize> RawQueue<N> {
     /// plus `k − 1` ordinary enqueues, each individually wait-free.
     pub(crate) fn enqueue_batch_internal(&self, h: &HandleNode<N>, vs: &[u64]) {
         for &v in vs {
-            assert!(
-                is_valid_value(v),
-                "RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}"
-            );
+            if !is_valid_value(v) {
+                reserved_value(v);
+            }
         }
         let k = vs.len() as u64;
         if k == 0 {
@@ -1139,14 +1137,26 @@ impl<const N: usize> RawQueue<N> {
     // help_deq (Listing 4 lines 158–205 + Listing 5 line 220)
     // ------------------------------------------------------------------
 
+    /// Lines 158–162, inline in every caller: every successful dequeue
+    /// calls this for its peer, and almost always the peer has no request
+    /// pending, so the bail-out costs two loads and no call.
+    #[inline]
     pub(crate) fn help_deq(&self, h: &HandleNode<N>, helpee: &HandleNode<N>) {
         let r = &helpee.deq_req;
         // Line 160: state before id (writers publish id before state).
-        let mut s = r.state();
+        let s = r.state();
         let id = r.id();
         if !s.pending || s.index < id {
             return; // line 162
         }
+        self.help_deq_work(h, helpee, id);
+    }
+
+    /// Lines 163–205: work on `helpee`'s pending request `id`.
+    #[cold]
+    #[inline(never)]
+    fn help_deq_work(&self, h: &HandleNode<N>, helpee: &HandleNode<N>, id: u64) {
+        let r = &helpee.deq_req;
         // Past the cheap bail-out: this call will actually work on the
         // request, so open a helper span tagged with the helpee's op id.
         // When `deq_slow` self-helps this nests inside its own slow span.
@@ -1164,7 +1174,7 @@ impl<const N: usize> RawQueue<N> {
         // already scanned — exactly what the reverse pass must catch.
         inject!("help_deq::hazard_adopted");
         wfq_obs::record!(wfq_obs::EventKind::HazardAdopt, adopted as u64, id);
-        s = r.state(); // line 165: must re-read after hazard adoption
+        let mut s = r.state(); // line 165: must re-read after hazard adoption
 
         let mut prior = id; // line 166
         let mut i = id;
@@ -1250,7 +1260,17 @@ impl<const N: usize> RawQueue<N> {
     }
 }
 
+/// The enqueue-side panic on a reserved value, out of line so the hot path
+/// pays one compare and no formatting setup.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn reserved_value(v: u64) -> ! {
+    panic!("RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}")
+}
+
 /// The paper's `advance_end_for_linearizability` (lines 53–55): CAS-max.
+#[inline]
 fn advance_index(e: &AtomicU64, cid: u64) {
     let mut cur = e.load(Ordering::SeqCst);
     while cur < cid {
@@ -1692,6 +1712,66 @@ mod tests {
         assert_eq!(a.load(Ordering::Relaxed), 9);
         advance_index(&a, 9);
         assert_eq!(a.load(Ordering::Relaxed), 9);
+    }
+
+    /// Listing 3 lines 101–108 and the authors' C code: a helper that
+    /// reserves a cell for the peer it remembered (`enq_help_id ≠ 0`) moves
+    /// `enq_peer` on but leaves `enq_help_id` set. On the next call the
+    /// remembered id does not match the new peer's request, so that peer is
+    /// passed over once, pending or not. The skip costs one trip round the
+    /// ring (DESIGN.md, "The remembered help id").
+    #[test]
+    fn enq_help_id_skips_one_peer_after_a_remembered_help() {
+        let q: RawQueue<64> = RawQueue::new();
+        let a = q.register();
+        let _b = q.register();
+        let _c = q.register();
+        // SAFETY: ring nodes live as long as the queue.
+        let na = unsafe { &*test_node(&a) };
+        let p1 = unsafe { &*na.next_node() };
+        let p2 = unsafe { &*p1.next_node() };
+        assert!(
+            core::ptr::eq(p2.next_node(), na),
+            "expected a 3-handle ring"
+        );
+        let cell = || Cell {
+            val: AtomicU64::new(VAL_BOTTOM),
+            enq: AtomicPtr::new(ENQ_BOTTOM),
+            deq: AtomicPtr::new(DEQ_BOTTOM),
+        };
+        let peer = || na.enq_peer.load(Ordering::Relaxed) as *const HandleNode<64>;
+
+        // Both peers have a slow-path enqueue pending. A remembers p1's
+        // request from a reservation that lost a race.
+        p1.enq_req.publish(100, 1);
+        p2.enq_req.publish(200, 2);
+        na.enq_peer
+            .store(p1 as *const _ as *mut _, Ordering::Relaxed);
+        na.enq_help_id.store(1, Ordering::Relaxed);
+
+        // Call 1 helps p1 and moves on to p2 without clearing the id.
+        assert_eq!(q.help_enq(na, &cell(), 10), HelpEnq::Value(100));
+        assert!(core::ptr::eq(peer(), p2));
+        assert_eq!(na.enq_help_id.load(Ordering::Relaxed), 1);
+
+        // Every later call, counting those that pass over p2's pending,
+        // usable request.
+        let mut skips = 0;
+        let mut calls = 1;
+        for i in 11..20u64 {
+            let at_p2 = core::ptr::eq(peer(), p2);
+            let got = q.help_enq(na, &cell(), i);
+            calls += 1;
+            if !p2.enq_req.state().pending {
+                assert_eq!(got, HelpEnq::Value(200));
+                break;
+            }
+            if at_p2 {
+                skips += 1;
+            }
+        }
+        assert_eq!(skips, 1, "the stale id skips p2 exactly once");
+        assert_eq!(calls, 4, "p2 is helped one ring trip (3 calls) late");
     }
 
     #[test]

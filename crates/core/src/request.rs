@@ -55,6 +55,7 @@ impl EnqReq {
     /// Reads `(state, val)` in the reverse of the write order (paper line
     /// 118): the value returned is the one for state `s.id` *or a later
     /// request*, which the claiming CAS then disambiguates.
+    #[inline]
     pub(crate) fn read_consistent(&self) -> (ReqState, u64) {
         let s = pack::unpack(self.state.load(Ordering::SeqCst));
         let v = self.val.load(Ordering::SeqCst);
@@ -64,6 +65,7 @@ impl EnqReq {
     /// The paper's `try_to_claim_req` (lines 60–61): transitions the state
     /// from `(pending = 1, id)` to `(pending = 0, cell_id)`, claiming the
     /// request for cell `cell_id`. At most one claimer can win.
+    #[inline]
     pub(crate) fn try_claim(&self, id: u64, cell_id: u64) -> bool {
         self.state
             .compare_exchange(
@@ -75,6 +77,7 @@ impl EnqReq {
             .is_ok()
     }
 
+    #[inline]
     pub(crate) fn state(&self) -> ReqState {
         pack::unpack(self.state.load(Ordering::SeqCst))
     }
@@ -108,16 +111,19 @@ impl DeqReq {
         self.state.store(pack::pack(true, cid), Ordering::SeqCst);
     }
 
+    #[inline]
     pub(crate) fn state(&self) -> ReqState {
         pack::unpack(self.state.load(Ordering::SeqCst))
     }
 
+    #[inline]
     pub(crate) fn id(&self) -> u64 {
         self.id.load(Ordering::SeqCst)
     }
 
     /// CAS on the packed state; used both to announce candidates
     /// `(1, prior) → (1, cand)` and to close requests `(1, idx) → (0, idx)`.
+    #[inline]
     pub(crate) fn cas_state(&self, from: (bool, u64), to: (bool, u64)) -> bool {
         self.state
             .compare_exchange(

@@ -151,18 +151,46 @@ pub(crate) struct SegSource<'a, const N: usize> {
 /// documented side effect of line 51). Extension segments come from `src`
 /// (spare slot first, then the pool — see [`SegSource`]).
 ///
+/// Inline in every caller: all but one cell in `N` lies in the segment `sp`
+/// already names, and that case is a load, a compare and line 51's store.
+/// The walk and the list extension live out of line in [`find_cell_walk`].
+///
 /// # Safety
 /// `*sp` must point to a live segment with `id <= cell_id / N` that is
 /// protected from reclamation for the duration of the call (by the caller's
 /// hazard publication, per the protocol in [`crate::reclaim`]). `src.spare`
 /// must be owner-local (no concurrent access).
+#[inline]
 pub(crate) unsafe fn find_cell<const N: usize>(
     sp: &AtomicPtr<Segment<N>>,
     cell_id: u64,
     src: &SegSource<'_, N>,
 ) -> *mut Cell {
-    let mut s = sp.load(Ordering::Acquire);
+    let s = sp.load(Ordering::Acquire);
     debug_assert!(!s.is_null());
+    // SAFETY: `s` is live per the function contract.
+    if unsafe { (*s).id() } != cell_id / N as u64 {
+        // SAFETY: contract forwarded.
+        return unsafe { find_cell_walk(sp, s, cell_id, src) };
+    }
+    sp.store(s, Ordering::Release);
+    // SAFETY: `s` is the target segment; in-bounds index.
+    unsafe { &raw mut (*s).cells[(cell_id % N as u64) as usize] }
+}
+
+/// The slow half of [`find_cell`]: walks from `s` (the segment `*sp` held)
+/// to the segment of `cell_id`, extending the list as needed.
+///
+/// # Safety
+/// As for [`find_cell`], with `s` the value just loaded from `sp`.
+#[cold]
+#[inline(never)]
+unsafe fn find_cell_walk<const N: usize>(
+    sp: &AtomicPtr<Segment<N>>,
+    mut s: *mut Segment<N>,
+    cell_id: u64,
+    src: &SegSource<'_, N>,
+) -> *mut Cell {
     let target = cell_id / N as u64;
     // SAFETY: `s` is live per the function contract.
     let mut id = unsafe { (*s).id() };

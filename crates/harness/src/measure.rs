@@ -36,7 +36,7 @@ pub fn measure_invocation<Q: BenchQueue>(
     let mut iters: Vec<f64> = Vec::with_capacity(cfg.max_iterations);
     for i in 0..cfg.max_iterations {
         let round = invocation * 1_000 + i as u64;
-        iters.push(run_iteration(&q, cfg, delay, round));
+        iters.push(run_iteration(&q, cfg, delay, round).mops);
         // Early exit as soon as a steady window exists below threshold
         // (the paper's "determine the iteration s_i in which steady-state
         // performance is reached").

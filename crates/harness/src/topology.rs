@@ -89,7 +89,18 @@ mod ffi {
     /// `CPU_SETSIZE / (8 * sizeof(unsigned long))` on 64-bit Linux.
     pub const CPU_SET_WORDS: usize = 1024 / 64;
 
+    /// `struct timespec` on 64-bit Linux.
+    #[repr(C)]
+    pub struct Timespec {
+        pub sec: i64,
+        pub nsec: i64,
+    }
+
+    /// `CLOCK_THREAD_CPUTIME_ID` on Linux.
+    pub const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
     extern "C" {
+        pub fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
         pub fn sysconf(name: i32) -> i64;
         pub fn sched_setaffinity(
             pid: i32,
@@ -142,9 +153,38 @@ pub fn pin_to_cpu(cpu: usize) -> bool {
     }
 }
 
+/// CPU time the calling thread has consumed, in nanoseconds
+/// (`CLOCK_THREAD_CPUTIME_ID`). A timed window's wall time minus its
+/// thread's CPU time is how long the thread was off the CPU: waiting on the
+/// run queue, blocked, or, where the kernel accounts steal, stolen. `None`
+/// where the clock is unavailable.
+pub fn thread_cpu_ns() -> Option<u64> {
+    #[cfg(target_os = "linux")]
+    {
+        let mut ts = ffi::Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `ts` is a valid, writable timespec.
+        if unsafe { ffi::clock_gettime(ffi::CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0 {
+            return Some(ts.sec as u64 * 1_000_000_000 + ts.nsec as u64);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_cpu_time_advances_with_work() {
+        if let Some(a) = thread_cpu_ns() {
+            let mut x = 0u64;
+            for i in 0..1_000_000u64 {
+                x = core::hint::black_box(x.wrapping_add(i));
+            }
+            let b = thread_cpu_ns().expect("readable once, readable twice");
+            assert!(b > a, "no CPU time charged for a busy loop ({x})");
+        }
+    }
 
     #[test]
     fn detect_reports_at_least_one_cpu() {

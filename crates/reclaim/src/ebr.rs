@@ -21,6 +21,7 @@
 //!   "thread failure" caveat applies to EBR far more than to HP).
 
 use core::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::Deleter;
 
@@ -46,10 +47,14 @@ struct EbrRetired {
 pub struct EbrDomain {
     epoch: AtomicU64,
     records: AtomicPtr<EbrRecord>,
+    /// Garbage a departing participant could not free yet. The next
+    /// collection on any participant adopts it; the domain frees what is
+    /// left when it drops.
+    orphans: Mutex<Vec<EbrRetired>>,
 }
 
 // SAFETY: record list is append-only and atomic; garbage is owned by one
-// participant until freed.
+// participant, or by the orphan list under its lock, until freed.
 unsafe impl Send for EbrDomain {}
 unsafe impl Sync for EbrDomain {}
 
@@ -65,7 +70,14 @@ impl EbrDomain {
         Self {
             epoch: AtomicU64::new(0),
             records: AtomicPtr::new(core::ptr::null_mut()),
+            orphans: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The orphan list (a poisoned lock is used as is: every update is one
+    /// `Vec` append).
+    fn orphans(&self) -> MutexGuard<'_, Vec<EbrRetired>> {
+        self.orphans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a participant.
@@ -146,6 +158,16 @@ impl EbrDomain {
 
 impl Drop for EbrDomain {
     fn drop(&mut self) {
+        // Every participant has dropped (the 'd borrow), so no one is
+        // pinned and no orphan can be referenced.
+        let orphans = self
+            .orphans
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for r in orphans.drain(..) {
+            // SAFETY: retired and unreferenced, see above.
+            unsafe { (r.deleter)(r.ptr) };
+        }
         let mut cur = *self.records.get_mut();
         while !cur.is_null() {
             // SAFETY: exclusive access at drop.
@@ -216,8 +238,10 @@ impl EbrThread<'_> {
         }
     }
 
-    /// Attempts to advance the epoch and frees sufficiently aged garbage.
+    /// Attempts to advance the epoch and frees sufficiently aged garbage,
+    /// its own and what departed participants left to the domain.
     pub fn collect(&mut self) {
+        self.retired.append(&mut self.domain.orphans());
         let global = self.domain.try_advance();
         let mut kept = Vec::with_capacity(self.retired.len());
         for r in self.retired.drain(..) {
@@ -254,20 +278,11 @@ impl Drop for EbrGuard<'_, '_> {
 
 impl Drop for EbrThread<'_> {
     fn drop(&mut self) {
-        // Age out what we can; hand anything left to a best-effort final
-        // sweep (same rationale as HazardThread::drop).
-        for _ in 0..64 {
-            if self.retired.is_empty() {
-                break;
-            }
-            self.collect();
-            if !self.retired.is_empty() {
-                std::thread::yield_now();
-            }
-        }
-        for r in self.retired.drain(..) {
-            // SAFETY: queue teardown quiescence; see HazardThread::drop.
-            unsafe { (r.deleter)(r.ptr) };
+        // Free what has aged out. A participant still pinned at an older
+        // epoch may still reference the rest, so it goes to the domain.
+        self.collect();
+        if !self.retired.is_empty() {
+            self.domain.orphans().append(&mut self.retired);
         }
         // SAFETY: record stays in the domain for reuse.
         unsafe {

@@ -29,6 +29,7 @@ pub mod ebr;
 
 use core::sync::atomic::{fence, AtomicBool, AtomicPtr, Ordering};
 use std::sync::atomic::AtomicUsize;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of hazard slots per thread record; two suffice for MS-Queue and
 /// LCRQ (head + next traversal).
@@ -73,10 +74,15 @@ pub struct Domain {
     records: AtomicPtr<Record>,
     /// Number of records ever created (drives the scan threshold).
     record_count: AtomicUsize,
+    /// Nodes a departing thread retired but could not free, because
+    /// another thread still protected them. The next scan on any thread
+    /// adopts them; the domain frees what is left when it drops.
+    orphans: Mutex<Vec<Retired>>,
 }
 
 // SAFETY: all record access is via atomics; retired nodes are owned by
-// exactly one HazardThread until freed.
+// exactly one HazardThread, or by the orphan list under its lock, until
+// freed.
 unsafe impl Send for Domain {}
 unsafe impl Sync for Domain {}
 
@@ -92,7 +98,14 @@ impl Domain {
         Self {
             records: AtomicPtr::new(core::ptr::null_mut()),
             record_count: AtomicUsize::new(0),
+            orphans: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The orphan list. Every update is one `Vec` append, which leaves the
+    /// list valid even if a holder panicked, so a poisoned lock is used as is.
+    fn orphans(&self) -> MutexGuard<'_, Vec<Retired>> {
+        self.orphans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquires a hazard record for the calling thread, reusing an inactive
@@ -167,8 +180,17 @@ impl Domain {
 
 impl Drop for Domain {
     fn drop(&mut self) {
-        // Free the record list. Retired nodes were flushed by the
-        // HazardThread drops (which the 'd borrow sequences before us).
+        // Every HazardThread has dropped (the 'd borrow sequences them
+        // before us), so no hazard can name an orphan any more.
+        let orphans = self
+            .orphans
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for r in orphans.drain(..) {
+            // SAFETY: retired (unreachable) and unprotected, see above.
+            unsafe { (r.deleter)(r.ptr) };
+        }
+        // Free the record list.
         let mut cur = *self.records.get_mut();
         while !cur.is_null() {
             // SAFETY: exclusive access; records were Box-allocated.
@@ -247,8 +269,10 @@ impl HazardThread<'_> {
         self.retired.len()
     }
 
-    /// Frees every buffered node that no published hazard protects.
+    /// Frees every buffered node that no published hazard protects,
+    /// together with the nodes departed threads left to the domain.
     pub fn scan(&mut self) {
+        self.retired.append(&mut self.domain.orphans());
         let hazards = self.domain.collect_hazards();
         let mut kept = Vec::with_capacity(self.retired.len());
         for r in self.retired.drain(..) {
@@ -269,24 +293,12 @@ impl Drop for HazardThread<'_> {
         for slot in 0..SLOTS_PER_THREAD {
             self.clear(slot);
         }
-        // Flush; anything still protected by other threads gets a brief
-        // grace period. Queues drop their HazardThreads after quiescing,
-        // so the buffer normally empties on the first scan.
-        for _ in 0..64 {
-            if self.retired.is_empty() {
-                break;
-            }
-            self.scan();
-            if !self.retired.is_empty() {
-                std::thread::yield_now();
-            }
-        }
-        for r in self.retired.drain(..) {
-            // Post-quiescence fallback: freeing is the lesser evil vs. a
-            // guaranteed leak. SAFETY: nodes are unreachable; any hazard
-            // still naming them belongs to a thread that already validated
-            // against a newer source and will not dereference.
-            unsafe { (r.deleter)(r.ptr) };
+        // Free what no one protects. A node another thread still protects
+        // may still be dereferenced by it, however long this thread waits,
+        // so it goes to the domain instead of being freed here.
+        self.scan();
+        if !self.retired.is_empty() {
+            self.domain.orphans().append(&mut self.retired);
         }
         // SAFETY: record stays in the domain list for reuse.
         unsafe { (*self.record).active.store(false, Ordering::Release) };
@@ -374,6 +386,31 @@ mod tests {
         let t2 = d.register();
         assert_eq!(t2.record as usize, r1, "inactive record must be adopted");
         assert_eq!(d.record_count.load(Ordering::Relaxed), 1);
+    }
+
+    /// A thread that drops while another still protects a node it retired
+    /// must not free that node; a later scan frees it once unprotected.
+    #[test]
+    fn departing_thread_leaves_protected_nodes_to_the_domain() {
+        let drops = AtomicUsize::new(0);
+        let d = Domain::new();
+        let reader = d.register();
+        let node = boxed(7, &drops);
+        let src = AtomicPtr::new(node as *mut Node);
+        let got = reader.protect(0, &src);
+
+        let mut departing = d.register();
+        // SAFETY: test node, retired once.
+        unsafe { departing.retire(node, count_deleter) };
+        drop(departing);
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "freed under a hazard");
+        // SAFETY: still protected, so still allocated.
+        assert_eq!(unsafe { (*got).v }, 7);
+
+        reader.clear(0);
+        let mut later = d.register();
+        later.scan();
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "orphan never adopted");
     }
 
     #[test]

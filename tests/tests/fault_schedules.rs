@@ -414,6 +414,92 @@ mod fuzz {
         });
     }
 
+    /// Stages the read→CAS window of `help_enq`'s opening move (paper line
+    /// 91): the dequeuer reads ⊥, and the producer deposits before the
+    /// dequeuer's ⊥→⊤ CAS. The CAS must fail and hand back the value; a
+    /// dequeuer that took the ⊥ read as ⊤ without the CAS would pass over
+    /// a cell that then receives a value no dequeuer will visit again.
+    ///
+    /// 1. producer P takes cell 0 (T: 0 → 1) and parks before its deposit;
+    /// 2. dequeuer D takes cell 0 (H: 0 → 1), reads ⊥ and parks at
+    ///    `help_enq::pre_mark`, releasing P;
+    /// 3. P deposits 42 and finishes its enqueue, releasing D;
+    /// 4. D's CAS fails on 42: D must return it, and a drain after two more
+    ///    enqueues must return exactly the values enqueued.
+    #[test]
+    fn deposit_inside_the_read_to_mark_window_is_dequeued() {
+        let q = RawQueue::<SEG>::with_config(Config::wf10());
+        let p_parked = Arc::new(Event::default());
+        let d_in_window = Arc::new(Event::default());
+        let deposited = Arc::new(Event::default());
+        let got = std::thread::scope(|s| {
+            {
+                let q = &q;
+                let (p_parked, d_in_window, deposited) = (
+                    Arc::clone(&p_parked),
+                    Arc::clone(&d_in_window),
+                    Arc::clone(&deposited),
+                );
+                s.spawn(move || {
+                    let mut p = q.register();
+                    let parked = Arc::clone(&p_parked);
+                    let window = Arc::clone(&d_in_window);
+                    fault::with_plan(
+                        FaultPlan::new().hook_at(
+                            "enq_fast::post_faa",
+                            0,
+                            Arc::new(move |_| {
+                                parked.set();
+                                window.wait();
+                            }),
+                        ),
+                        || p.enqueue(42),
+                    );
+                    deposited.set();
+                });
+            }
+            p_parked.wait();
+            let mut d = q.register();
+            let (window, done) = (Arc::clone(&d_in_window), Arc::clone(&deposited));
+            let before = fault::coverage_count("help_enq::pre_mark");
+            let got = fault::with_plan(
+                FaultPlan::new().hook_at(
+                    "help_enq::pre_mark",
+                    0,
+                    Arc::new(move |_| {
+                        window.set();
+                        done.wait();
+                    }),
+                ),
+                || d.dequeue(),
+            );
+            // Releases P even if D never reached the window, so a failing
+            // run reports instead of hanging.
+            d_in_window.set();
+            assert!(
+                fault::coverage_count("help_enq::pre_mark") > before,
+                "the dequeuer never reached the read→CAS window"
+            );
+            got
+        });
+        assert_eq!(
+            got,
+            Some(42),
+            "a value deposited between the ⊥ read and the poison CAS was passed over"
+        );
+
+        // Conservation: every value enqueued comes out exactly once.
+        let mut h = q.register();
+        h.enqueue(43);
+        h.enqueue(44);
+        let mut drained = vec![42];
+        while let Some(v) = h.dequeue() {
+            drained.push(v);
+        }
+        drained.sort_unstable();
+        assert_eq!(drained, vec![42, 43, 44], "values lost or duplicated");
+    }
+
     /// The branch counters behind the paper's Table 2 extension: a
     /// slow-path-heavy schedule must light up the helping-protocol
     /// counters, proving the sweep exercises the *branches*, not merely

@@ -69,16 +69,23 @@ mod traced {
             .get("traceEvents")
             .and_then(Value::as_arr)
             .expect("top-level traceEvents array");
-        assert!(events.len() >= n, "serializer lost events");
 
         // Protocol events (not the per-track `M` metadata) from ≥3 tids.
+        // Every recorded event is in the document: an instant (`i`) stands
+        // for one, a duration (`X`, an enter/exit pair) for two.
         let mut tids = BTreeSet::new();
+        let mut represented = 0;
         for e in events {
             let ph = e.get("ph").and_then(Value::as_str).expect("ph field");
             assert!(
                 matches!(ph, "M" | "X" | "i"),
                 "unexpected event phase {ph:?}"
             );
+            represented += match ph {
+                "X" => 2,
+                "i" => 1,
+                _ => 0,
+            };
             if ph != "M" {
                 let tid = e.get("tid").and_then(Value::as_num).expect("tid field");
                 tids.insert(tid as u64);
@@ -86,6 +93,7 @@ mod traced {
                 assert!(e.get("name").is_some(), "event without name");
             }
         }
+        assert_eq!(represented, n, "serializer lost or invented events");
         assert!(
             tids.len() >= 3,
             "events from only {} handles (want ≥3): {tids:?}",
